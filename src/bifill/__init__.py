@@ -72,6 +72,7 @@ from .geom import (
     count_points,
     enum_p1,
     fiber_forms,
+    projective_count,
     rational_pairs,
     segre,
 )
@@ -95,11 +96,9 @@ from .search import (
     candidate_index_of,
     candidate_poly,
     census,
-    census_range,
     filling_space_basis,
     merge_reports,
     min_bidegree_scan,
-    projective_count,
 )
 
 __version__ = "0.1.0"

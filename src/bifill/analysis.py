@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from math import gcd as int_gcd
 from typing import Optional
 
-from .bipoly import AffinePoly, BiPoly, divides, resultant_elim
+from .bipoly import BiPoly, binary_eval, divides, resultant_elim
 from .config import DEFAULT_BUDGETS
 from .errors import BadParameters, BadShape, Infeasible, ZeroPolynomial
-from .geom import PointPair, ProjPoint, _eval_second, _restrict_first, enum_p1
+from .geom import PointPair, ProjPoint, enum_p1, projective_count, projective_vectors
 from .gf import (
     UniPoly,
     embedding_map,
@@ -89,11 +89,12 @@ def common_zeros(forms, m=1, budget=None):
         )
     mapped = [f.map_field(L) for f in forms]
     pts = enum_p1(L)
+    coords = [P.coords() for P in pts]
     out = set()
-    for P in pts:
-        rests = [_restrict_first(G, P) for G in mapped]
-        for Q in pts:
-            if all(_eval_second(L, r, Q) == 0 for r in rests):
+    for P, (x0, x1) in zip(pts, coords):
+        rests = [G.restrict(x0, x1) for G in mapped]
+        for Q, (y0, y1) in zip(pts, coords):
+            if all(binary_eval(L, r, y0, y1) == 0 for r in rests):
                 out.add(PointPair(P, Q))
     return out
 
@@ -173,17 +174,11 @@ def _chart_members(F, chart, orientation):
         if aff.is_zero():
             continue
         if orientation == "x":
-            aff = AffinePoly(aff.field, _transpose(aff.rows))
+            aff = aff.transpose()
         if aff.rows not in seen:
             seen.add(aff.rows)
             members.append(aff)
     return members
-
-
-def _transpose(rows):
-    return [
-        [rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))
-    ]
 
 
 def _root_in_splitting_field(K, mpoly):
@@ -475,32 +470,14 @@ def _proj_forms(field, a, b):
     row-major coefficient order; cached per cell."""
     key = (id(field), a, b)
     if key not in _FORM_CACHE:
-        s = field.order
-        n = (a + 1) * (b + 1)
-        out = []
-        for lead in range(n):
-            for tail in _counter(s, n - lead - 1):
-                flat = (0,) * lead + (1,) + tail
-                rows = tuple(
-                    flat[i * (b + 1): (i + 1) * (b + 1)] for i in range(a + 1)
-                )
-                out.append(BiPoly._raw(field, a, b, rows))
-        _FORM_CACHE[key] = tuple(out)
+        _FORM_CACHE[key] = tuple(
+            BiPoly._raw(
+                field, a, b,
+                tuple(flat[i * (b + 1): (i + 1) * (b + 1)] for i in range(a + 1)),
+            )
+            for flat in projective_vectors(field.order, (a + 1) * (b + 1))
+        )
     return _FORM_CACHE[key]
-
-
-def _counter(s, n):
-    """All length-n digit tuples base s, least significant slot last."""
-    if n == 0:
-        yield ()
-        return
-    for head in range(s):
-        for tail in _counter(s, n - 1):
-            yield (head,) + tail
-
-
-def _proj_cell_size(s, n):
-    return (s**n - 1) // (s - 1)
 
 
 def _canonical_scale(F):
@@ -549,15 +526,15 @@ def _nonvanishing_points(F, cap=32):
     K = F.field
     L = extension_field(K, 2)
     G = F.map_field(L)
-    pts = enum_p1(L)
+    coords = [P.coords() for P in enum_p1(L)]
     out = []
-    for P in pts:
-        coeffs = _restrict_first(G, P)
+    for x0, x1 in coords:
+        coeffs = G.restrict(x0, x1)
         if all(c == 0 for c in coeffs):
             continue
-        for Q in pts:
-            if _eval_second(L, coeffs, Q) != 0:
-                out.append((L, P.coords() + Q.coords()))
+        for y0, y1 in coords:
+            if binary_eval(L, coeffs, y0, y1) != 0:
+                out.append((L, (x0, x1, y0, y1)))
                 if len(out) >= cap:
                     return out
     return out
@@ -578,7 +555,7 @@ def find_factor(F, budget=None):
         ),
         key=lambda cell: (cell[0] + cell[1], cell),
     )
-    total = sum(_proj_cell_size(K.order, (a2 + 1) * (b2 + 1)) for a2, b2 in cells)
+    total = sum(projective_count(K.order, (a2 + 1) * (b2 + 1)) for a2, b2 in cells)
     if total > cap:
         raise Infeasible(f"{total} division candidates exceed the budget {cap}")
     probes = _nonvanishing_points(F)
@@ -622,7 +599,7 @@ def is_abs_irreducible(F, method="auto", budget=None):
     ks = [k for k in range(2, int_gcd(a, b) + 1) if int_gcd(a, b) % k == 0]
     for k in ks:
         n = (a // k + 1) * (b // k + 1)
-        if _proj_cell_size(K.order**k, n) > cap:
+        if projective_count(K.order**k, n) > cap:
             raise Infeasible("conjugate search exceeds the budget")
     canon = _canonical_scale(F).rows
     for k in ks:

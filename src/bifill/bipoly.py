@@ -132,50 +132,26 @@ class BiPoly:
 
     def __mul__(self, other):
         self._check(other)
-        F = self.field
-        a, b = self.a + other.a, self.b + other.b
-        out = [[0] * (b + 1) for _ in range(a + 1)]
-        for i1, r1 in enumerate(self.rows):
-            for j1, c1 in enumerate(r1):
-                if c1 == 0:
-                    continue
-                for i2, r2 in enumerate(other.rows):
-                    for j2, c2 in enumerate(r2):
-                        if c2:
-                            out[i1 + i2][j1 + j2] = F.add(
-                                out[i1 + i2][j1 + j2], F.mul(c1, c2)
-                            )
-        return BiPoly._raw(F, a, b, tuple(tuple(r) for r in out))
+        rows = _convolve(self.field, self.rows, other.rows)
+        return BiPoly._raw(
+            self.field, self.a + other.a, self.b + other.b, tuple(map(tuple, rows))
+        )
 
     def transpose(self):
         """Swap the roles of the X and Y variable blocks."""
-        rows = tuple(
-            tuple(self.rows[i][j] for i in range(self.a + 1))
-            for j in range(self.b + 1)
-        )
-        return BiPoly._raw(self.field, self.b, self.a, rows)
+        return BiPoly._raw(self.field, self.b, self.a, _transpose_rows(self.rows))
 
     # -- evaluation ----------------------------------------------------------
 
+    def restrict(self, x0, x1):
+        """Coefficients of the Y-form left after fixing the first component
+        at (x0:x1); entry j multiplies Y0^(b-j) Y1^j. Any homogeneous
+        coordinates are accepted, normalized or not."""
+        return _restrict_rows(self.field, self.rows, x0, x1)
+
     def eval(self, x0, x1, y0, y1):
         """Value at raw coordinate indices over the owner field."""
-        F = self.field
-        a, b = self.a, self.b
-        px0 = _powers(F, x0, a)
-        px1 = _powers(F, x1, a)
-        py0 = _powers(F, y0, b)
-        py1 = _powers(F, y1, b)
-        acc = 0
-        for i, row in enumerate(self.rows):
-            xf = F.mul(px0[a - i], px1[i])
-            if xf == 0:
-                continue
-            rowacc = 0
-            for j, c in enumerate(row):
-                if c:
-                    rowacc = F.add(rowacc, F.mul(c, F.mul(py0[b - j], py1[j])))
-            acc = F.add(acc, F.mul(xf, rowacc))
-        return acc
+        return binary_eval(self.field, self.restrict(x0, x1), y0, y1)
 
     # -- calculus ------------------------------------------------------------
 
@@ -223,18 +199,7 @@ class BiPoly:
         Chart X0Y0 reads (x,y) = (X1, Y1); each killed index is reversed,
         so chart X1Y0 reads (x,y) = (X0, Y1), and so on.
         """
-        if chart not in CHARTS:
-            raise ValueError(f"unknown chart {chart!r}")
-        a, b = self.a, self.b
-        rev_i = chart[:2] == "X1"
-        rev_j = chart[2:] == "Y1"
-        rows = [[0] * (b + 1) for _ in range(a + 1)]
-        for i, row in enumerate(self.rows):
-            ti = a - i if rev_i else i
-            for j, c in enumerate(row):
-                tj = b - j if rev_j else j
-                rows[ti][tj] = c
-        return AffinePoly(self.field, rows)
+        return AffinePoly(self.field, _chart_rows(self.rows, self.a, self.b, chart))
 
     # -- text and JSON -------------------------------------------------------
 
@@ -282,10 +247,74 @@ class BiPoly:
         return self.text()
 
 
-def _powers(F, x, n):
-    out = [1] * (n + 1)
-    for k in range(1, n + 1):
-        out[k] = F.mul(out[k - 1], x)
+def _restrict_rows(F, rows, x0, x1):
+    """Entry j of the sum over i of rows[i] * x0^(a-i) * x1^i, with
+    a = len(rows) - 1: Horner in x1/x0, scaled back by x0^a."""
+    a = len(rows) - 1
+    if x0 == 0:
+        if x1 == 1:
+            return rows[a]
+        s = F.pow_(x1, a)
+        return [F.mul(c, s) for c in rows[a]]
+    t = x1 if x0 == 1 else F.div(x1, x0)
+    out = rows[a]
+    for i in range(a - 1, -1, -1):
+        out = [F.add(F.mul(c, t), r) for c, r in zip(out, rows[i])]
+    if x0 == 1:
+        return out
+    s = F.pow_(x0, a)
+    return [F.mul(c, s) for c in out]
+
+
+def binary_eval(F, coeffs, y0, y1):
+    """Value at (y0:y1) of the binary form whose entry j multiplies
+    Y0^(n-j) Y1^j, n = len(coeffs) - 1; any homogeneous coordinates."""
+    n = len(coeffs) - 1
+    if y0 == 0:
+        return coeffs[n] if y1 == 1 else F.mul(coeffs[n], F.pow_(y1, n))
+    t = y1 if y0 == 1 else F.div(y1, y0)
+    acc = 0
+    for c in reversed(coeffs):
+        acc = F.add(F.mul(acc, t), c)
+    return acc if y0 == 1 else F.mul(acc, F.pow_(y0, n))
+
+
+def _convolve(F, rows1, rows2):
+    """Coefficient matrix of the product of two polynomials held as 2-D
+    coefficient matrices, entry [i][j] on bi-index (i, j)."""
+    out = [
+        [0] * (len(rows1[0]) + len(rows2[0]) - 1)
+        for _ in range(len(rows1) + len(rows2) - 1)
+    ]
+    for i1, r1 in enumerate(rows1):
+        for j1, c1 in enumerate(r1):
+            if c1 == 0:
+                continue
+            for i2, r2 in enumerate(rows2):
+                for j2, c2 in enumerate(r2):
+                    if c2:
+                        out[i1 + i2][j1 + j2] = F.add(
+                            out[i1 + i2][j1 + j2], F.mul(c1, c2)
+                        )
+    return out
+
+
+def _transpose_rows(rows):
+    return tuple(tuple(rows[i][j] for i in range(len(rows))) for j in range(len(rows[0])))
+
+
+def _chart_rows(rows, a, b, chart):
+    """The (a+1) x (b+1) matrix of a form from its chart polynomial's rows,
+    or back: each killed index is reversed. The map is its own inverse."""
+    if chart not in CHARTS:
+        raise ValueError(f"unknown chart {chart!r}")
+    rev_i = chart[:2] == "X1"
+    rev_j = chart[2:] == "Y1"
+    out = [[0] * (b + 1) for _ in range(a + 1)]
+    for i, row in enumerate(rows):
+        ti = a - i if rev_i else i
+        for j, c in enumerate(row):
+            out[ti][b - j if rev_j else j] = c
     return out
 
 
@@ -373,23 +402,11 @@ class AffinePoly:
 
     def __mul__(self, other):
         self._check(other)
-        F = self.field
-        if self.is_zero() or other.is_zero():
-            return AffinePoly.zero(F)
-        nx = self.deg_x + other.deg_x
-        ny = self.deg_y + other.deg_y
-        out = [[0] * (ny + 1) for _ in range(nx + 1)]
-        for i1, r1 in enumerate(self.rows):
-            for j1, c1 in enumerate(r1):
-                if c1 == 0:
-                    continue
-                for i2, r2 in enumerate(other.rows):
-                    for j2, c2 in enumerate(r2):
-                        if c2:
-                            out[i1 + i2][j1 + j2] = F.add(
-                                out[i1 + i2][j1 + j2], F.mul(c1, c2)
-                            )
-        return AffinePoly(F, out)
+        return AffinePoly(self.field, _convolve(self.field, self.rows, other.rows))
+
+    def transpose(self):
+        """Swap the roles of x and y."""
+        return AffinePoly(self.field, _transpose_rows(self.rows))
 
     def scale(self, c):
         c = c.i if isinstance(c, FieldElement) else c
@@ -400,15 +417,7 @@ class AffinePoly:
         F = self.field
         x = x.i if isinstance(x, FieldElement) else x
         y = y.i if isinstance(y, FieldElement) else y
-        py = _powers(F, y, self.deg_y)
-        acc = 0
-        for row in reversed(self.rows):
-            rowval = 0
-            for j, c in enumerate(row):
-                if c:
-                    rowval = F.add(rowval, F.mul(c, py[j]))
-            acc = F.add(F.mul(acc, x), rowval)
-        return acc
+        return binary_eval(F, _restrict_rows(F, self.rows, 1, x), 1, y)
 
     def y_coeffs(self):
         """Coefficients as polynomials in x: entry j is the x-polynomial
@@ -515,17 +524,7 @@ def homogenize(aff, a, b, chart="X0Y0"):
         raise BidegreeMismatch(
             f"chart degrees ({aff.deg_x},{aff.deg_y}) exceed target ({a},{b})"
         )
-    if chart not in CHARTS:
-        raise ValueError(f"unknown chart {chart!r}")
-    rev_i = chart[:2] == "X1"
-    rev_j = chart[2:] == "Y1"
-    rows = [[0] * (b + 1) for _ in range(a + 1)]
-    for i, row in enumerate(aff.rows):
-        ti = a - i if rev_i else i
-        for j, c in enumerate(row):
-            tj = b - j if rev_j else j
-            rows[ti][tj] = c
-    return BiPoly(aff.field, a, b, rows)
+    return BiPoly(aff.field, a, b, _chart_rows(aff.rows, a, b, chart))
 
 
 # -- parsing -------------------------------------------------------------------
@@ -702,9 +701,12 @@ def divides(G, F):
                     row[hi * (bh + 1) + hj] = G.rows[fi - hi][fj - hj]
             row[ncols] = F.rows[fi][fj]
             mat.append(row)
-    sol = _solve_exact(K, mat, ncols)
-    if sol is None:
-        return None
+    pivots = row_reduce(K, mat, ncols)
+    if any(row[ncols] != 0 for row in mat[len(pivots):]):
+        return None  # inconsistent
+    sol = [0] * ncols
+    for row, c in zip(mat, pivots):
+        sol[c] = row[ncols]
     rows = tuple(
         tuple(sol[i * (bh + 1) + j] for j in range(bh + 1)) for i in range(ah + 1)
     )
@@ -714,11 +716,14 @@ def divides(G, F):
     return None
 
 
-def _solve_exact(K, mat, ncols):
-    """Gaussian elimination for an overdetermined exact system; returns the
-    unique solution vector or None when inconsistent."""
+def row_reduce(K, mat, ncols):
+    """Gauss-Jordan elimination in place over the first ncols columns of
+    mat, a list of rows of element indices; later columns ride along.
+    Returns the pivot columns: row r of the result has a 1 at pivots[r] and
+    0 in every other pivot column, and rows past the last pivot are zero in
+    the first ncols columns."""
     nrows = len(mat)
-    piv_rows = []
+    pivots = []
     r = 0
     for c in range(ncols):
         sel = None
@@ -729,21 +734,17 @@ def _solve_exact(K, mat, ncols):
         if sel is None:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
-        inv = K.inv(mat[r][c])
-        mat[r] = [K.mul(x, inv) for x in mat[r]]
+        lead = mat[r]
+        if lead[c] != 1:
+            inv = K.inv(lead[c])
+            lead = mat[r] = [K.mul(x, inv) for x in lead]
         for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [K.sub(x, K.mul(f, y)) for x, y in zip(mat[i], mat[r])]
-        piv_rows.append(c)
+            f = mat[i][c]
+            if i != r and f != 0:
+                mat[i] = [K.sub(x, K.mul(f, y)) for x, y in zip(mat[i], lead)]
+        pivots.append(c)
         r += 1
-    for i in range(r, nrows):
-        if mat[i][ncols] != 0:
-            return None
-    sol = [0] * ncols
-    for row_idx, c in enumerate(piv_rows):
-        sol[c] = mat[row_idx][ncols]
-    return sol
+    return pivots
 
 
 # -- resultants -----------------------------------------------------------------
@@ -790,9 +791,7 @@ def resultant_elim(A, B, var):
     K = A.field
     if var == "x":
         # reuse the y-elimination path with the roles of x and y swapped
-        At = AffinePoly(K, _transpose_rows(A.rows))
-        Bt = AffinePoly(K, _transpose_rows(B.rows))
-        return resultant_elim(At, Bt, "y")
+        return resultant_elim(A.transpose(), B.transpose(), "y")
     if var != "y":
         raise ValueError(f"unknown variable {var!r}")
     ca = A.y_coeffs()
@@ -841,10 +840,6 @@ def resultant_elim(A, B, var):
         assert c in inv, "resultant coefficient escaped the owner field"
         out.append(inv[c])
     return UniPoly(K, out)
-
-
-def _transpose_rows(rows):
-    return tuple(tuple(rows[i][j] for i in range(len(rows))) for j in range(len(rows[0])))
 
 
 def _newton_interp(L, xs, ys):

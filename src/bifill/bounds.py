@@ -22,6 +22,7 @@ from typing import Optional
 from .analysis import is_abs_irreducible
 from .errors import BadParameters, Infeasible
 from .geom import count_points
+from .gf import prime_power
 
 
 @dataclass(frozen=True)
@@ -35,23 +36,10 @@ class BoundReport:
     hypotheses_met: Optional[bool] = None
 
 
-def _is_prime_power(n):
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True  # n itself is prime
-
-
 def space_curve_bound(q, r, d):
     """floor((q-1)(q^(r+1)-1)d / (q(q^r-1) - r(q-1))), in exact integer
     arithmetic."""
-    if not _is_prime_power(q):
+    if prime_power(q) is None:
         raise BadParameters(f"q={q} is not a prime power")
     if r < 2:
         raise BadParameters(f"need r >= 2, got {r}")

@@ -35,8 +35,8 @@ from .errors import (
 from .families import construct
 from .filling import decompose, is_filling
 from .geom import count_points
-from .gf import enumerate_field, parse_field_spec
-from .search import census, census_range, merge_reports, min_bidegree_scan
+from .gf import enumerate_field, field_for, parse_field_spec
+from .search import census, min_bidegree_scan
 
 _USAGE_EXIT = 2
 _CHECK_EXIT = 1
@@ -55,10 +55,9 @@ def _bidegree_arg(text):
 
 
 def _field_of(args):
-    spec = getattr(args, "field", None)
-    if spec is not None:
-        return parse_field_spec(spec)
-    return parse_field_spec(f"q={args.q}")
+    if args.field is not None:
+        return parse_field_spec(args.field)
+    return field_for(args.q)
 
 
 def _poly_of(args, K):
@@ -202,15 +201,7 @@ def cmd_decompose(args):
 
 def cmd_census(args):
     a, b = args.bidegree
-    if args.jobs > 1:
-        parts = [
-            census_range(args.q, a, b, k, args.jobs, smooth=args.smooth,
-                         exemplar_cap=args.exemplars)
-            for k in range(args.jobs)
-        ]
-        report = merge_reports(parts)
-    else:
-        report = census(args.q, a, b, smooth=args.smooth, exemplar_cap=args.exemplars)
+    report = census(args.q, a, b, smooth=args.smooth, exemplar_cap=args.exemplars)
     doc = {"command": "census", "seed": args.seed, **report.to_json()}
     lines = [
         f"seed {args.seed}",
@@ -280,10 +271,7 @@ def cmd_bound(args):
 def cmd_count(args):
     K = _field_of(args)
     F = _poly_of(args, K)
-    if args.jobs > 1:
-        pts = sum(count_points(F, args.ext, part=(k, args.jobs)) for k in range(args.jobs))
-    else:
-        pts = count_points(F, args.ext)
+    pts = count_points(F, args.ext)
     doc = {
         "command": "count",
         "seed": args.seed,
@@ -351,7 +339,6 @@ def _build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--bidegree", type=_bidegree_arg, required=True, metavar="A,B")
     p.add_argument("--smooth", action="store_true", help="certify irreducible candidates")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--exemplars", type=int, default=8)
     p.set_defaults(func=cmd_census)
 
@@ -372,7 +359,6 @@ def _build_parser():
     g.add_argument("--q", type=int)
     g.add_argument("--field")
     p.add_argument("--ext", type=int, default=1, help="extension degree m")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("field-info", parents=[common], help="canonical field data")

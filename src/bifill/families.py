@@ -28,7 +28,7 @@ from .analysis import validate_setup
 from .bipoly import BiPoly, parse_bipoly
 from .errors import FieldMismatch, SetupViolation, UnsupportedQ
 from .filling import frobenius_forms
-from .gf import FieldElement, enumerate_field, parse_field_spec
+from .gf import FieldElement, enumerate_field, field_for
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,13 @@ class FamilyParams:
     gamma: Optional[FieldElement] = None
 
 
-def _field_for(q):
-    return parse_field_spec(f"q={q}")
-
-
 def pick_params(q):
     """First-in-enumeration-order admissible (delta, gamma) for the generic
     variants.  q = 2 and q = 3 have dedicated constructions and are rejected
     here."""
     if q in (2, 3):
         raise UnsupportedQ(f"q={q} uses a dedicated construction, not the generic family")
-    K = _field_for(q)
+    K = field_for(q)
     if K.p == 2:
         image = {u + u * u for u in enumerate_field(K)}
         pool = [c for c in enumerate_field(K) if c not in image]
@@ -78,7 +74,7 @@ def pair_curve(f, g, check=True):
 
 
 def _ruling_pair(q):
-    K = _field_for(q)
+    K = field_for(q)
     n = q + 1
     if q == 3:
         f = parse_bipoly("Y0^4 + Y1^4", K)
@@ -98,7 +94,7 @@ def construct(q, transposed=False):
     bi-degree: (q+1,q+1) for q >= 3, (4,3) for q = 2.  transposed=True swaps
     the two ruling directions (bi-degree reversed)."""
     if q == 2:
-        K = _field_for(2)
+        K = field_for(2)
         a = parse_bipoly("X0*Y0^3 + X1*Y1^3", K)
         b = parse_bipoly("X0^2*X1 + X0*X1^2", K)
         c = parse_bipoly("X0^2 + X0*X1 + X1^2", K)
@@ -113,4 +109,4 @@ def construct(q, transposed=False):
 def fiber_union(q):
     """The union of the q+1 rational horizontal fibers: filling, reducible,
     every component smooth.  Bi-degree (0, q+1)."""
-    return frobenius_forms(_field_for(q))[1]
+    return frobenius_forms(field_for(q))[1]

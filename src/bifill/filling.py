@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bipoly import BiPoly, homogenize
+from .bipoly import BiPoly, binary_eval, homogenize
 from .errors import BidegreeTooSmall, NotFilling, ZeroPolynomial
-from .geom import _eval_second, _restrict_first, enum_p1
+from .geom import enum_p1
 from .gf import UniPoly
 
 __all__ = [
@@ -42,11 +42,11 @@ def is_filling(F):
     if F.is_zero():
         raise ZeroPolynomial("the zero polynomial does not define a curve")
     L = F.field
-    pts = enum_p1(L)
-    for P in pts:
-        coeffs = _restrict_first(F, P)
-        for Q in pts:
-            if _eval_second(L, coeffs, Q) != 0:
+    coords = [P.coords() for P in enum_p1(L)]
+    for x0, x1 in coords:
+        coeffs = F.restrict(x0, x1)
+        for y0, y1 in coords:
+            if binary_eval(L, coeffs, y0, y1) != 0:
                 return False
     return True
 

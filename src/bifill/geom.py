@@ -8,6 +8,9 @@ ruling at a time, which keeps the inner loop univariate.
 
 from __future__ import annotations
 
+import itertools
+
+from .bipoly import BiPoly, binary_eval
 from .config import DEFAULT_BUDGETS
 from .errors import BadParameters, FieldMismatch, Infeasible, ZeroPolynomial
 from .gf import FieldElement, extension_field
@@ -157,6 +160,28 @@ def enum_p1(field):
     return tuple(pts)
 
 
+def projective_count(s, n):
+    """Number of points of P^(n-1) over the field of order s."""
+    return (s**n - 1) // (s - 1)
+
+
+def projective_vectors(s, n, start=0):
+    """Points of P^(n-1) over the field of order s, as tuples of element
+    indices with first nonzero coordinate 1, from number start on: the
+    leading 1 runs left to right, and behind it the remaining coordinates
+    count up base s with the last one fastest."""
+    for lead in range(n):
+        block = s ** (n - lead - 1)
+        if start >= block:
+            start -= block
+            continue
+        head = (0,) * lead + (1,)
+        tails = itertools.product(range(s), repeat=n - lead - 1)
+        for tail in itertools.islice(tails, start, None):
+            yield head + tail
+        start = 0
+
+
 def rational_pairs(field):
     """All (|field|+1)^2 points of P1xP1, row-major in enum_p1 order."""
     pts = enum_p1(field)
@@ -166,8 +191,6 @@ def rational_pairs(field):
 def fiber_forms(field, axis="x"):
     """The |field|+1 ruling forms: for axis 'x', the bi-degree (1,0) form
     u1*X0 - u0*X1 vanishing exactly where the first component is (u0:u1)."""
-    from .bipoly import BiPoly
-
     out = []
     for P in enum_p1(field):
         u0, u1 = P.coords()
@@ -187,39 +210,9 @@ def segre(pair):
     )
 
 
-def _restrict_first(G, P):
-    """Coefficients in the second ruling after pinning the first component."""
-    F = G.field
-    a = G.a
-    u0, u1 = P.coords()
-    if u0 == 1:
-        out = list(G.rows[a])
-        for i in range(a - 1, -1, -1):
-            row = G.rows[i]
-            out = [F.add(F.mul(c, u1), row[j]) for j, c in enumerate(out)]
-        # Horner in u1 accumulates rows top down; row i carries X1^i, so run
-        # from i=a downward multiplying by u1 once per step
-        return out
-    return list(G.rows[a])
-
-
-def _eval_second(F, coeffs, Q):
-    v0, v1 = Q.coords()
-    if v0 == 1:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = F.add(F.mul(acc, v1), c)
-        return acc
-    return coeffs[-1]
-
-
-def count_points(F, m=1, budget=None, part=None):
+def count_points(F, m=1, budget=None):
     """Rational point count of the zero set over the degree-m extension by
-    full enumeration.
-
-    part=(k, n) restricts to first components with index = k mod n; the
-    full count is the sum over k of the n restricted counts.
-    """
+    full enumeration."""
     if F.is_zero():
         raise ZeroPolynomial("zero polynomial has no curve")
     if m < 1:
@@ -231,16 +224,14 @@ def count_points(F, m=1, budget=None, part=None):
             f"({L.order}+1)^2 points exceed the enumeration budget {cap}"
         )
     G = F.map_field(L)
-    pts = enum_p1(L)
+    coords = [P.coords() for P in enum_p1(L)]
     total = 0
-    for ix, P in enumerate(pts):
-        if part is not None and ix % part[1] != part[0]:
-            continue
-        coeffs = _restrict_first(G, P)
+    for x0, x1 in coords:
+        coeffs = G.restrict(x0, x1)
         if all(c == 0 for c in coeffs):
-            total += len(pts)
+            total += len(coords)
             continue
-        for Q in pts:
-            if _eval_second(L, coeffs, Q) == 0:
+        for y0, y1 in coords:
+            if binary_eval(L, coeffs, y0, y1) == 0:
                 total += 1
     return total

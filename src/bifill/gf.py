@@ -51,6 +51,8 @@ __all__ = [
     "field_with_modulus",
     "extension_field",
     "parse_field_spec",
+    "prime_power",
+    "field_for",
     "enumerate_field",
     "embed",
     "embedding_map",
@@ -530,15 +532,10 @@ def parse_field_spec(text):
         q = kv["q"]
         if q < 2:
             raise BadParameters("field cardinality must be at least 2")
-        p = _prime_factors(q)[0]
-        e = 0
-        n = q
-        while n % p == 0 and n > 1:
-            n //= p
-            e += 1
-        if n != 1:
+        pe = prime_power(q)
+        if pe is None:
             raise NotPrime(f"{q} is not a prime power")
-        return field_make(p, e)
+        return field_make(*pe)
     if "p" not in kv:
         raise BadParameters("field spec needs q= or p=")
     p = kv.pop("p")
@@ -550,6 +547,28 @@ def parse_field_spec(text):
     if len(mod) != e + 1:
         raise BadParameters("modulus length must be e+1")
     return field_with_modulus(p, mod)
+
+
+def prime_power(q):
+    """(p, e) with q = p^e, or None when q is not a prime power."""
+    if q < 2:
+        return None
+    p = _prime_factors(q)[0]
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
+
+
+def field_for(q, field=None):
+    """The canonical GF(q); a given field is returned instead once its
+    order is checked to be q."""
+    if field is None:
+        return parse_field_spec(f"q={q}")
+    if field.order != q:
+        raise FieldMismatch(f"field of order {field.order} given for q={q}")
+    return field
 
 
 def enumerate_field(field):

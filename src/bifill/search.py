@@ -27,48 +27,12 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Tuple
 
 from .analysis import certify_smooth, is_abs_irreducible
-from .bipoly import BiPoly
+from .bipoly import BiPoly, row_reduce
 from .config import DEFAULT_BUDGETS
-from .errors import BadParameters, FieldMismatch, Infeasible
+from .errors import BadParameters, Infeasible
 from .filling import is_filling
-from .geom import enum_p1
-from .gf import parse_field_spec
-
-
-def _field_for(q, field=None):
-    if field is None:
-        return parse_field_spec(f"q={q}")
-    if field.order != q:
-        raise FieldMismatch(f"field of order {field.order} given for q={q}")
-    return field
-
-
-def _rref(rows, K):
-    """Row-reduced echelon form over K (entries are element indices).
-    Returns (reduced nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = K.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [K.mul(inv, x) for x in rows[r]]
-        lead = rows[r]
-        for i in range(nr):
-            f = rows[i][c]
-            if i != r and f != 0:
-                rows[i] = [K.sub(x, K.mul(f, y)) for x, y in zip(rows[i], lead)]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+from .geom import enum_p1, projective_count, projective_vectors
+from .gf import field_for
 
 
 def filling_space_basis(q, a, b, field=None):
@@ -77,7 +41,7 @@ def filling_space_basis(q, a, b, field=None):
     rational pairs, coefficient columns in row-major (i,j) order."""
     if a < 0 or b < 0:
         raise BadParameters(f"bad bi-degree ({a},{b})")
-    K = _field_for(q, field)
+    K = field_for(q, field)
     pts = [P.coords() for P in enum_p1(K)]
     nc = (a + 1) * (b + 1)
 
@@ -96,7 +60,7 @@ def filling_space_basis(q, a, b, field=None):
         for v0, v1 in pts:
             yrow = powers(v0, v1, b)
             mat.append([K.mul(xrow[i], yrow[j]) for i in range(a + 1) for j in range(b + 1)])
-    red, pivots = _rref(mat, K)
+    pivots = row_reduce(K, mat, nc)
     pivset = set(pivots)
     free = [c for c in range(nc) if c not in pivset]
     kernel = []
@@ -104,28 +68,26 @@ def filling_space_basis(q, a, b, field=None):
         v = [0] * nc
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = K.neg(red[r][fc])
+            v[pc] = K.neg(mat[r][fc])
         kernel.append(v)
-    kernel, _ = _rref(kernel, K)  # canonical basis of the kernel itself
+    row_reduce(K, kernel, nc)  # canonical basis of the kernel itself
     out = []
     for v in kernel:
         rows = [v[i * (b + 1):(i + 1) * (b + 1)] for i in range(a + 1)]
         B = BiPoly(K, a, b, rows)
-        assert is_filling(B)
+        if not is_filling(B):
+            raise AssertionError(f"kernel vector {v} is not filling")
         out.append(B)
-    assert len(out) == nc - min(a + 1, q + 1) * min(b + 1, q + 1)
+    if len(out) != nc - min(a + 1, q + 1) * min(b + 1, q + 1):
+        raise AssertionError(f"filling space of ({a},{b}) has dimension {len(out)}")
     return out
 
 
 # -- projective candidate enumeration -----------------------------------------
 #
-# Candidate k of a dim-dimensional space: leading coordinate L runs 0,1,...
-# with block sizes q^(dim-1-L); inside a block the trailing coordinates count
-# up with the last coordinate fastest.
-
-def projective_count(q, dim):
-    return (q**dim - 1) // (q - 1) if dim else 0
-
+# Candidate k of a dim-dimensional space is the k-th vector of
+# geom.projective_vectors(q, dim); the two functions below are the same
+# order as a random-access index map.
 
 def _candidate_vector(k, dim, q):
     size = q ** (dim - 1)
@@ -173,19 +135,25 @@ def _combine(vec, flat_basis, K):
     return acc
 
 
+def _flat(basis):
+    return [[c for row in B.rows for c in row] for B in basis]
+
+
+def _form(K, a, b, v, flat_basis):
+    """The bi-degree (a,b) form with coordinate vector v in the basis."""
+    acc = _combine(v, flat_basis, K)
+    return BiPoly(K, a, b, [acc[i * (b + 1):(i + 1) * (b + 1)] for i in range(a + 1)])
+
+
 def candidate_poly(basis, k):
     """Candidate number k (projective order) of the span of basis."""
     B0 = basis[0]
-    K, a, b = B0.field, B0.a, B0.b
-    q = K.order
-    total = (q ** len(basis) - 1) // (q - 1)
+    K = B0.field
+    total = projective_count(K.order, len(basis))
     if not 0 <= k < total:
         raise BadParameters(f"candidate index {k} outside [0, {total})")
-    flat = [[c for row in B.rows for c in row] for B in basis]
-    v = _candidate_vector(k, len(basis), q)
-    acc = _combine(v, flat, K)
-    rows = [acc[i * (b + 1):(i + 1) * (b + 1)] for i in range(a + 1)]
-    return BiPoly(K, a, b, rows)
+    v = _candidate_vector(k, len(basis), K.order)
+    return _form(K, B0.a, B0.b, v, _flat(basis))
 
 
 def candidate_index_of(F, basis):
@@ -196,7 +164,7 @@ def candidate_index_of(F, basis):
     K = F.field
     q = K.order
     flat = [c for row in F.rows for c in row]
-    flatb = [[c for row in B.rows for c in row] for B in basis]
+    flatb = _flat(basis)
     pivots = [next(i for i, x in enumerate(row) if x) for row in flatb]
     coords = [flat[p] for p in pivots]
     if _combine(coords, flatb, K) != flat:
@@ -252,17 +220,40 @@ class CensusReport:
 
 
 def _classify(F):
-    """('irreducible'|'reducible'|'unknown', method tag or None)."""
+    """'irreducible', 'reducible' or 'unknown'."""
     try:
         res = is_abs_irreducible(F, method="B")
-        return ("irreducible" if res.irreducible else "reducible", res.method)
+        return "irreducible" if res.irreducible else "reducible"
     except Infeasible:
         pass
     try:
-        res = is_abs_irreducible(F, method="A")
-        return ("irreducible", res.method)
+        is_abs_irreducible(F, method="A")
+        return "irreducible"
     except Infeasible:
-        return ("unknown", None)
+        return "unknown"
+
+
+def _filling_space(K, q, a, b, budget):
+    """(basis, candidate count) of the filling space, or Infeasible when
+    the candidates exceed the census budget."""
+    basis = filling_space_basis(q, a, b, field=K)
+    total = projective_count(q, len(basis))
+    cap = budget if budget is not None else DEFAULT_BUDGETS.census_budget
+    if total > cap:
+        raise Infeasible(f"{total} candidates exceed the census budget {cap}")
+    return basis, total
+
+
+def _classified(K, a, b, basis, lo, hi):
+    """(index, form, verdict) for candidates lo..hi-1, one at a time; every
+    hundredth form is re-checked to be filling."""
+    flat = _flat(basis)
+    vectors = projective_vectors(K.order, len(basis), lo)
+    for k, v in zip(range(lo, hi), vectors):
+        F = _form(K, a, b, v, flat)
+        if (k - lo) % 100 == 0 and not is_filling(F):
+            raise AssertionError(f"candidate {k} of ({a},{b}) is not filling")
+        yield k, F, _classify(F)
 
 
 def census(q, a, b, smooth=False, exemplar_cap=8, budget=None, part=None, field=None):
@@ -274,13 +265,8 @@ def census(q, a, b, smooth=False, exemplar_cap=8, budget=None, part=None, field=
     slices of the candidate range; merge_reports glues slices back
     together."""
     t0 = time.perf_counter()
-    K = _field_for(q, field)
-    basis = filling_space_basis(q, a, b, field=K)
-    dim = len(basis)
-    total = projective_count(q, dim)
-    cap = budget if budget is not None else DEFAULT_BUDGETS.census_budget
-    if total > cap:
-        raise Infeasible(f"{total} candidates exceed the census budget {cap}")
+    K = field_for(q, field)
+    basis, total = _filling_space(K, q, a, b, budget)
     if part is None:
         lo, hi = 0, total
     else:
@@ -288,20 +274,12 @@ def census(q, a, b, smooth=False, exemplar_cap=8, budget=None, part=None, field=
         if not (0 <= k < n):
             raise BadParameters(f"bad partition {part}")
         lo, hi = k * total // n, (k + 1) * total // n
-    flat = [[c for row in B.rows for c in row] for B in basis]
     n_irr = n_red = n_unk = 0
     irr_indices = []
     exemplars = []
     n_smooth = 0
     singular_irr = []
-    for k in range(lo, hi):
-        v = _candidate_vector(k, dim, q)
-        acc = _combine(v, flat, K)
-        rows = [acc[i * (b + 1):(i + 1) * (b + 1)] for i in range(a + 1)]
-        F = BiPoly(K, a, b, rows)
-        if (k - lo) % 100 == 0:
-            assert is_filling(F)
-        verdict, _ = _classify(F)
+    for k, F, verdict in _classified(K, a, b, basis, lo, hi):
         if verdict == "irreducible":
             n_irr += 1
             irr_indices.append(k)
@@ -319,7 +297,7 @@ def census(q, a, b, smooth=False, exemplar_cap=8, budget=None, part=None, field=
     return CensusReport(
         q=q,
         bidegree=(a, b),
-        space_dimension=dim,
+        space_dimension=len(basis),
         candidates_scanned=hi - lo,
         n_irreducible=n_irr,
         n_reducible=n_red,
@@ -332,11 +310,6 @@ def census(q, a, b, smooth=False, exemplar_cap=8, budget=None, part=None, field=
         part=part,
         seconds=time.perf_counter() - t0,
     )
-
-
-def census_range(q, a, b, k, n, **kw):
-    """Slice k of n of the census; see census(part=...)."""
-    return census(q, a, b, part=(k, n), **kw)
 
 
 def merge_reports(reports):
@@ -411,7 +384,7 @@ def min_bidegree_scan(q, a_max, b_max, budget=None, field=None):
     form exists there; see min_bidegree_check).  Other cells enumerate the
     filling space and stop at the first irreducible candidate; exhaustion
     with unknowns pending marks the cell infeasible rather than empty."""
-    K = _field_for(q, field)
+    K = field_for(q, field)
     table = {}
     for a in range(a_max + 1):
         for b in range(b_max + 1):
@@ -423,20 +396,13 @@ def min_bidegree_scan(q, a_max, b_max, budget=None, field=None):
 
 
 def _scan_cell(K, q, a, b, budget):
-    basis = filling_space_basis(q, a, b, field=K)
-    dim = len(basis)
-    total = projective_count(q, dim)
-    cap = budget if budget is not None else DEFAULT_BUDGETS.census_budget
-    if total > cap:
+    """A census of the cell that stops at the first irreducible."""
+    try:
+        basis, total = _filling_space(K, q, a, b, budget)
+    except Infeasible:
         return ScanCell(a, b, None, "infeasible")
-    flat = [[c for row in B.rows for c in row] for B in basis]
     saw_unknown = False
-    for k in range(total):
-        v = _candidate_vector(k, dim, q)
-        acc = _combine(v, flat, K)
-        rows = [acc[i * (b + 1):(i + 1) * (b + 1)] for i in range(a + 1)]
-        F = BiPoly(K, a, b, rows)
-        verdict, _ = _classify(F)
+    for k, _F, verdict in _classified(K, a, b, basis, 0, total):
         if verdict == "irreducible":
             return ScanCell(a, b, True, "census", witness_index=k)
         if verdict == "unknown":

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
-Everything here deliberately avoids the code paths under test: point counts
-enumerate raw coordinate tuples, ranks come from a local row reduction over
-a prime field, and resultants from fraction-free elimination on the literal
+Everything here deliberately avoids the code paths under test: forms are
+evaluated from power tables of all four coordinates, point counts enumerate
+raw coordinate tuples, ranks come from a local row reduction over a prime
+field, and resultants from fraction-free elimination on the literal
 Sylvester matrix.
 """
 
@@ -15,6 +16,35 @@ T42 = (
     "X0^2*X1^2*Y0^2*Y1 + X0^2*X1^2*Y0*Y1^2 + X0^2*X1^2*Y1^3 + "
     "X0*X1^3*Y1^3 + X1^4*Y0^2*Y1 + X1^4*Y0*Y1^2"
 )
+
+
+def _powers(K, x, n):
+    out = [1] * (n + 1)
+    for k in range(1, n + 1):
+        out[k] = K.mul(out[k - 1], x)
+    return out
+
+
+def power_table_eval(F, x0, x1, y0, y1):
+    """Value of the form F at raw coordinate indices, term by term:
+    the sum of c[i][j] * x0^(a-i) x1^i y0^(b-j) y1^j."""
+    K = F.field
+    a, b = F.a, F.b
+    px0 = _powers(K, x0, a)
+    px1 = _powers(K, x1, a)
+    py0 = _powers(K, y0, b)
+    py1 = _powers(K, y1, b)
+    acc = 0
+    for i, row in enumerate(F.rows):
+        xf = K.mul(px0[a - i], px1[i])
+        if xf == 0:
+            continue
+        rowacc = 0
+        for j, c in enumerate(row):
+            if c:
+                rowacc = K.add(rowacc, K.mul(c, K.mul(py0[b - j], py1[j])))
+        acc = K.add(acc, K.mul(xf, rowacc))
+    return acc
 
 
 def brute_point_count(F, m=1):
@@ -32,7 +62,7 @@ def brute_point_count(F, m=1):
     count = 0
     for u in classes():
         for v in classes():
-            if F.eval(u[0], u[1], v[0], v[1]) == 0:
+            if power_table_eval(F, u[0], u[1], v[0], v[1]) == 0:
                 count += 1
     return count
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import sylvester_resultant
+from _oracles import power_table_eval, sylvester_resultant
 from bifill.bipoly import (
     CHARTS,
     AffinePoly,
@@ -19,7 +19,7 @@ from bifill.errors import (
     ParseError,
     ZeroDivisor,
 )
-from bifill.gf import UniPoly, parse_field_spec
+from bifill.gf import UniPoly, extension_field, parse_field_spec
 
 
 def field(q):
@@ -165,9 +165,31 @@ def test_dehomogenize_reverses_killed_indices(gf3):
 
 # -- evaluation -------------------------------------------------------------------
 
-def test_eval_bipoly_accepts_tuples_and_lifts(gf2):
-    from bifill.gf import extension_field
+def _eval_fields():
+    # prime, extension and tower fields, in both characteristics
+    return (field(2), field(3), field(9), field(16), extension_field(field(4), 2))
 
+
+@st.composite
+def forms_and_points(draw):
+    K = draw(st.sampled_from(_eval_fields()))
+    a = draw(st.integers(0, 4))
+    b = draw(st.integers(0, 4))
+    # 0 and 1 drawn often: sparse forms, and normalized, zero-containing
+    # and even (0:0) coordinates next to unnormalized ones
+    element = st.one_of(st.sampled_from((0, 1)), st.integers(0, K.order - 1))
+    rows = [[draw(element) for _ in range(b + 1)] for _ in range(a + 1)]
+    coords = draw(st.tuples(element, element, element, element))
+    return BiPoly(K, a, b, rows), coords
+
+
+@given(case=forms_and_points())
+def test_eval_matches_the_power_table_oracle(case):
+    F, coords = case
+    assert F.eval(*coords) == power_table_eval(F, *coords)
+
+
+def test_eval_bipoly_accepts_tuples_and_lifts(gf2):
     F = parse_bipoly("X0*Y0 + X1*Y1", gf2)
     E = extension_field(gf2, 2)
     v = eval_bipoly(F, (E.element(2), E.element(1), E.element(1), E.element(3)))

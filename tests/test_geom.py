@@ -135,12 +135,6 @@ def test_ruling_union_count(q, m):
     assert count_points(KX, m) == (q + 1) * (q**m + 1)
 
 
-def test_count_points_part_sums_to_total(gf3):
-    F = parse_bipoly("X0^2*Y1 + X1^2*Y0", gf3)
-    total = count_points(F, 2)
-    assert total == sum(count_points(F, 2, part=(k, 4)) for k in range(4))
-
-
 def test_count_points_rejects_the_zero_form(gf2):
     with pytest.raises(ZeroPolynomial):
         count_points(BiPoly.zero(gf2, 1, 1), 1)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from _oracles import rref_rank_mod_p
+from bifill.analysis import _proj_forms
 from bifill.bipoly import BiPoly
 from bifill.errors import BadParameters
 from bifill.families import construct
@@ -13,7 +14,6 @@ from bifill.search import (
     candidate_index_of,
     candidate_poly,
     census,
-    census_range,
     filling_space_basis,
     merge_reports,
     min_bidegree_scan,
@@ -91,6 +91,17 @@ def test_candidate_round_trip_spot_checks_344():
         assert candidate_index_of(candidate_poly(basis, k), basis) == k
 
 
+@pytest.mark.parametrize("q,a,b", [(2, 1, 2), (3, 1, 1), (4, 1, 1), (3, 0, 3)])
+def test_divisor_enumeration_is_the_census_order(q, a, b):
+    # the cached divisor candidates and the census index map walk one order
+    K = field(q)
+    monomials = [BiPoly.monomial(K, a, b, i, j) for i in range(a + 1) for j in range(b + 1)]
+    forms = _proj_forms(K, a, b)
+    assert len(forms) == (q ** len(monomials) - 1) // (q - 1)
+    for k, G in enumerate(forms):
+        assert G == candidate_poly(monomials, k)
+
+
 def test_candidate_index_rejects_out_of_range():
     basis = filling_space_basis(2, 3, 3)
     with pytest.raises(BadParameters):
@@ -135,10 +146,6 @@ def test_census_parts_merge_to_the_full_report(gf2):
     for n in (2, 4):
         merged = merge_reports([census(2, 4, 3, part=(k, n)) for k in range(n)])
         assert merged.to_json() == full.to_json()
-
-
-def test_census_range_helper_matches_part(gf2):
-    assert census_range(2, 3, 3, 1, 2).to_json() == census(2, 3, 3, part=(1, 2)).to_json()
 
 
 def test_merge_rejects_gaps(gf2):
