@@ -36,7 +36,6 @@ from .bipoly import (
     resultant_elim,
 )
 from .bounds import BoundReport, check_attainment, segre_degree, space_curve_bound
-from .config import DEFAULT_BUDGETS, Budgets
 from .errors import (
     BadCoefficient,
     BadParameters,

@@ -24,14 +24,21 @@ F = G * G^sigma * ... over GF(q^k) for some k dividing gcd(a,b).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import gcd as int_gcd
 from typing import Optional
 
 from .bipoly import BiPoly, binary_eval, divides, resultant_elim
-from .config import DEFAULT_BUDGETS
 from .errors import BadParameters, BadShape, Infeasible, ZeroPolynomial
-from .geom import PointPair, ProjPoint, enum_p1, projective_count, projective_vectors
+from .geom import (
+    PointPair,
+    ProjPoint,
+    enum_p1,
+    enumerable_extension,
+    projective_count,
+    projective_vectors,
+)
 from .gf import (
     UniPoly,
     embedding_map,
@@ -75,18 +82,12 @@ def jacobian_system(F):
 
 # -- exhaustive solving --------------------------------------------------------
 
-def common_zeros(forms, m=1, budget=None):
+def common_zeros(forms, m=1):
     """All points of P1xP1 over the degree-m extension where every given
     form vanishes."""
     if not forms:
         raise BadParameters("empty system")
-    K = forms[0].field
-    cap = budget if budget is not None else DEFAULT_BUDGETS.point_budget
-    L = extension_field(K, m)
-    if (L.order + 1) ** 2 > cap:
-        raise Infeasible(
-            f"({L.order}+1)^2 points exceed the enumeration budget {cap}"
-        )
+    L = enumerable_extension(forms[0].field, m)
     mapped = [f.map_field(L) for f in forms]
     pts = enum_p1(L)
     coords = [P.coords() for P in pts]
@@ -112,7 +113,7 @@ def _min_subfield_degree(L, q, m, pair):
     return m
 
 
-def singular_points(F, m_max=1, budget=None):
+def singular_points(F, m_max=1):
     """Singular points over GF(q^m) for all m <= m_max, each tagged with
     the minimal extension degree containing it."""
     if F.is_zero():
@@ -124,7 +125,7 @@ def singular_points(F, m_max=1, budget=None):
     out = set()
     for m in range(1, m_max + 1):
         L = extension_field(K, m)
-        for pair in common_zeros(system, m, budget):
+        for pair in common_zeros(system, m):
             if _min_subfield_degree(L, K.order, m, pair) == m:
                 out.add((pair, m))
     return out
@@ -185,7 +186,8 @@ def _root_in_splitting_field(K, mpoly):
     """(E, xbar): the degree-(deg m) extension and the least root of m."""
     E = extension_field(K, mpoly.degree)
     roots = unipoly_roots(mpoly.map_field(E), E)
-    assert roots, "irreducible factor has no root in its splitting field"
+    if not roots:
+        raise AssertionError("irreducible factor has no root in its splitting field")
     return E, min(r.i for r in roots)
 
 
@@ -221,8 +223,6 @@ def _modulus_avoiding(K, lcpoly):
     for c in range(K.order):
         if lcpoly.eval_at(c) != 0:
             return UniPoly(K, (K.neg(c), 1))
-    import itertools
-
     for deg in range(2, lcpoly.degree + 2):
         for tail in itertools.product(range(K.order), repeat=deg):
             cand = UniPoly(K, list(tail) + [1])
@@ -256,7 +256,8 @@ def _certify_chart(K, members, chart, orientation, trace):
         lc = A.y_coeffs()[A.deg_y]
         mpoly = _modulus_avoiding(K, lc)
         G = _factor_verdict(ypos, K, mpoly)
-        assert G is not None
+        if G is None:
+            raise AssertionError(f"chart {chart} has no zero over the root of {mpoly}")
         trace.append(
             {"chart": chart, "orientation": orientation,
              "pair": "single", "degree": mpoly.degree}
@@ -338,11 +339,15 @@ def verify_witness(F, cert):
     return G == w.common and G.degree >= 1
 
 
-def witness_point(F, cert, order_cap=6561):
+# Largest field witness_point builds a singular point over.
+WITNESS_ORDER_CAP = 6561
+
+
+def witness_point(F, cert):
     """A concrete singular point rebuilt from a certificate: (pair, m)
     over the smallest field housing a root of the modulus and of the
     common divisor, or None when that field exceeds the supported tower
-    height or the order cap."""
+    height or WITNESS_ORDER_CAP."""
     if cert.verdict != "Singular":
         return None
     w = cert.witness
@@ -357,13 +362,13 @@ def witness_point(F, cert, order_cap=6561):
         mf = next(f for f, _ in factors if f.degree == k)
         if E.base is not None:
             return None  # would need a third tower layer
-        if E.order**k > order_cap:
+        if E.order**k > WITNESS_ORDER_CAP:
             return None
         L = extension_field(E, k)
         emap = embedding_map(E, L)
         x0 = emap[xbar]
         y0 = min(r.i for r in unipoly_roots(mf.map_field(L, emap), L))
-    if L.order > order_cap:
+    if L.order > WITNESS_ORDER_CAP:
         return None
     if w.orientation == "x":
         x0, y0 = y0, x0
@@ -540,12 +545,16 @@ def _nonvanishing_points(F, cap=32):
     return out
 
 
-def find_factor(F, budget=None):
+# Most projective divisor candidates find_factor, or one conjugate-norm
+# cell of is_abs_irreducible, may enumerate.
+FACTOR_SEARCH_BUDGET = 1 << 22
+
+
+def find_factor(F):
     """Least proper GF(q)-factor of F in the fixed scan order (ascending
     total degree, then lexicographic cell order), or None."""
     K = F.field
     a, b = F.a, F.b
-    cap = budget if budget is not None else DEFAULT_BUDGETS.factor_search_budget
     cells = sorted(
         (
             (a2, b2)
@@ -556,8 +565,10 @@ def find_factor(F, budget=None):
         key=lambda cell: (cell[0] + cell[1], cell),
     )
     total = sum(projective_count(K.order, (a2 + 1) * (b2 + 1)) for a2, b2 in cells)
-    if total > cap:
-        raise Infeasible(f"{total} division candidates exceed the budget {cap}")
+    if total > FACTOR_SEARCH_BUDGET:
+        raise Infeasible(
+            f"{total} division candidates exceed the budget {FACTOR_SEARCH_BUDGET}"
+        )
     probes = _nonvanishing_points(F)
     probe_cache = {}
     for a2, b2 in cells:
@@ -575,7 +586,7 @@ def find_factor(F, budget=None):
     return None
 
 
-def is_abs_irreducible(F, method="auto", budget=None):
+def is_abs_irreducible(F, method="auto"):
     """True iff F is irreducible over the algebraic closure.
 
     method "A" uses the smoothness shortcut and abstains (Infeasible) when
@@ -593,13 +604,12 @@ def is_abs_irreducible(F, method="auto", budget=None):
         if method == "A":
             raise Infeasible("smoothness shortcut cannot decide this form")
     K = F.field
-    cap = budget if budget is not None else DEFAULT_BUDGETS.factor_search_budget
-    if find_factor(F, budget=cap) is not None:
+    if find_factor(F) is not None:
         return IrreducibilityResult(False, "B")
     ks = [k for k in range(2, int_gcd(a, b) + 1) if int_gcd(a, b) % k == 0]
     for k in ks:
         n = (a // k + 1) * (b // k + 1)
-        if projective_count(K.order**k, n) > cap:
+        if projective_count(K.order**k, n) > FACTOR_SEARCH_BUDGET:
             raise Infeasible("conjugate search exceeds the budget")
     canon = _canonical_scale(F).rows
     for k in ks:

@@ -832,12 +832,14 @@ def resultant_elim(A, B, var):
         ys.append(_uni_resultant(fa, fb))
         if len(xs) == need:
             break
-    assert len(xs) == need, "extension field too small for interpolation"
+    if len(xs) != need:
+        raise AssertionError("extension field too small for interpolation")
     coeffs_l = _newton_interp(L, xs, ys)
     inv = {v: i for i, v in enumerate(emap)}
     out = []
     for c in coeffs_l:
-        assert c in inv, "resultant coefficient escaped the owner field"
+        if c not in inv:
+            raise AssertionError("resultant coefficient escaped the owner field")
         out.append(inv[c])
     return UniPoly(K, out)
 

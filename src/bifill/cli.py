@@ -106,12 +106,11 @@ def _summary_doc(F, filling, cert, irr, method, report):
     }
 
 
-def _summary_text(F, filling, cert, irr, method, report, seed):
+def _summary_text(F, filling, cert, irr, method, report):
     irr_text = "undecided" if irr is None else str(irr).lower()
     if method:
         irr_text += f" (method {method})"
     lines = [
-        f"seed {seed}",
         f"F = {F.text()}",
         f"bi-degree ({F.a},{F.b}) over GF({F.field.order})",
         f"filling: {str(filling).lower()}",
@@ -128,12 +127,11 @@ def cmd_construct(args):
     filling, cert, irr, method, report = _summarize(F)
     doc = {
         "command": "construct",
-        "seed": args.seed,
         "q": args.q,
         "transposed": args.transposed,
         **_summary_doc(F, filling, cert, irr, method, report),
     }
-    _emit(args, doc, _summary_text(F, filling, cert, irr, method, report, args.seed))
+    _emit(args, doc, _summary_text(F, filling, cert, irr, method, report))
     ok = filling and cert.verdict == "Smooth" and irr is True
     return 0 if ok else _CHECK_EXIT
 
@@ -157,12 +155,11 @@ def cmd_verify(args):
     unmet = sorted(k for k, w in want.items() if w is not None and got[k] != w)
     doc = {
         "command": "verify",
-        "seed": args.seed,
         **_summary_doc(F, filling, cert, irr, method, report),
         "expectations": {k: w for k, w in want.items() if w is not None},
         "unmet": unmet,
     }
-    text = _summary_text(F, filling, cert, irr, method, report, args.seed)
+    text = _summary_text(F, filling, cert, irr, method, report)
     if unmet:
         text += f"unmet expectations: {', '.join(unmet)}\n"
     _emit(args, doc, text)
@@ -176,7 +173,6 @@ def cmd_decompose(args):
     ok = dec.verify(F)
     doc = {
         "command": "decompose",
-        "seed": args.seed,
         "polynomial": F.text(),
         "bidegree": list(F.bidegree),
         "field": K.describe(),
@@ -187,7 +183,6 @@ def cmd_decompose(args):
         "recombines": ok,
     }
     human = (
-        f"seed {args.seed}\n"
         f"F  = {F.text()}\n"
         f"f  = {dec.f.text()}\n"
         f"g  = {dec.g.text()}\n"
@@ -202,9 +197,8 @@ def cmd_decompose(args):
 def cmd_census(args):
     a, b = args.bidegree
     report = census(args.q, a, b, smooth=args.smooth, exemplar_cap=args.exemplars)
-    doc = {"command": "census", "seed": args.seed, **report.to_json()}
+    doc = {"command": "census", **report.to_json()}
     lines = [
-        f"seed {args.seed}",
         f"census q={args.q} bi-degree ({a},{b}): dimension {report.space_dimension}, "
         f"{report.candidates_scanned} candidates",
         f"irreducible: {report.n_irreducible}   reducible: {report.n_reducible}   "
@@ -227,12 +221,11 @@ def cmd_scan(args):
     cells = [table[k] for k in sorted(table)]
     doc = {
         "command": "scan",
-        "seed": args.seed,
         "q": args.q,
         "max": [a_max, b_max],
         "cells": [c.to_json() for c in cells],
     }
-    lines = [f"seed {args.seed}", f"scan q={args.q} up to ({a_max},{b_max})"]
+    lines = [f"scan q={args.q} up to ({a_max},{b_max})"]
     for c in cells:
         verdict = {True: "yes", False: "no", None: "undecided"}[c.exists]
         extra = f" first at candidate {c.witness_index}" if c.witness_index is not None else ""
@@ -248,7 +241,6 @@ def cmd_bound(args):
     quot = Fraction(num, den)
     doc = {
         "command": "bound",
-        "seed": args.seed,
         "q": args.q,
         "r": args.r,
         "d": args.d,
@@ -258,7 +250,6 @@ def cmd_bound(args):
         "floor": floor,
     }
     human = (
-        f"seed {args.seed}\n"
         f"numerator   {num}\n"
         f"denominator {den}\n"
         f"quotient    {quot.numerator}/{quot.denominator}\n"
@@ -274,14 +265,13 @@ def cmd_count(args):
     pts = count_points(F, args.ext)
     doc = {
         "command": "count",
-        "seed": args.seed,
         "polynomial": F.text(),
         "bidegree": list(F.bidegree),
         "field": K.describe(),
         "ext": args.ext,
         "points": pts,
     }
-    human = f"seed {args.seed}\npoints over GF({K.order}^{args.ext}): {pts}\n"
+    human = f"points over GF({K.order}^{args.ext}): {pts}\n"
     _emit(args, doc, human)
     return 0
 
@@ -290,13 +280,11 @@ def cmd_field_info(args):
     K = _field_of(args)
     doc = {
         "command": "field-info",
-        "seed": args.seed,
         "field": K.describe(),
         "elements": [K.text_of(x.i) for x in enumerate_field(K)],
     }
     mod = ",".join(str(c) for c in K.modulus)
     human = (
-        f"seed {args.seed}\n"
         f"GF({K.order}) = GF({K.p}^{K.e}), modulus [{mod}]\n"
         f"elements: {' '.join(doc['elements'])}\n"
     )
@@ -307,7 +295,6 @@ def cmd_field_info(args):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="one JSON document on stdout")
-    common.add_argument("--seed", type=int, default=0, help="random seed, echoed in output")
 
     top = argparse.ArgumentParser(prog="bifill", description=__doc__.split("\n")[0])
     sub = top.add_subparsers(dest="command", required=True)

@@ -81,4 +81,4 @@ class BadParameters(BifillError):
 
 
 class Infeasible(BifillError):
-    """Requested computation exceeds the configured search budget."""
+    """Requested computation exceeds a fixed search budget."""

@@ -58,16 +58,13 @@ def pick_params(q):
     return FamilyParams(q=q, variant=variant, delta=pool[0], gamma=pool[1])
 
 
-def pair_curve(f, g, check=True):
+def pair_curve(f, g):
     """Assemble f*KX + g*KY from ruling forms f (bi-degree (0,q+1)) and
-    g ((q+1,0)).
-
-    With check=True (the default) the forms must pass validate_setup:
-    squarefree as binary forms and nonvanishing on the rational points.
-    check=False skips that gate so degenerate inputs can be probed."""
+    g ((q+1,0)) that pass validate_setup: squarefree as binary forms and
+    nonvanishing on the rational points."""
     if f.field is not g.field:
         raise FieldMismatch("ruling forms live over different fields")
-    if check and not validate_setup(f, g):
+    if not validate_setup(f, g):
         raise SetupViolation("ruling forms must be squarefree with no rational zeros")
     kx, ky = frobenius_forms(f.field)
     return f * kx + g * ky

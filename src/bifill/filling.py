@@ -5,7 +5,7 @@ A form F of bi-degree (a,b) over GF(q) is filling when it vanishes at all
 (q+1)^2 rational points of P1xP1. Every such F with a,b >= q+1 splits as
 F = f*kx + g*ky against kx = X0^q*X1 - X0*X1^q and ky = Y0^q*Y1 - Y0*Y1^q;
 the splitting below is deterministic but not unique, and the recombination
-identity is asserted at exact coefficient level before returning.
+identity is checked at exact coefficient level before returning.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ def decompose(F):
     my = mx
     uq, rem = phi.divmod_uni(mx, "x")
     vq, rem2 = rem.divmod_uni(my, "y")
-    assert rem2.is_zero(), "filling form failed chart reduction"
+    if not rem2.is_zero():
+        raise AssertionError("filling form failed chart reduction")
     u = -uq
     v = -vq
 
@@ -112,9 +113,11 @@ def decompose(F):
     # peel its exact MY cofactor
     f1 = UniPoly(K, U.rows[a - q])
     f2q, r3 = f1.divmod_poly(my)
-    assert r3.is_zero(), "boundary row not divisible along the second ruling"
+    if not r3.is_zero():
+        raise AssertionError("boundary row not divisible along the second ruling")
     f2 = -f2q
-    assert f2.degree <= b - q
+    if f2.degree > b - q:
+        raise AssertionError(f"second-ruling cofactor has degree {f2.degree} > {b - q}")
     U0 = BiPoly(K, a - q - 1, b, U.rows[: a - q])
 
     # shift the peeled piece across: V0 = X1^(a-q)*f2*MX + V
@@ -126,13 +129,16 @@ def decompose(F):
     # rational points; peel its exact kx cofactor
     g1 = UniPoly(K, [row[b - q] for row in V0.rows])
     f3q, r4 = g1.divmod_poly(mx)
-    assert r4.is_zero(), "boundary column not divisible along the first ruling"
+    if not r4.is_zero():
+        raise AssertionError("boundary column not divisible along the first ruling")
     f3 = -f3q
-    assert f3.degree <= a - q - 1
+    if f3.degree > a - q - 1:
+        raise AssertionError(f"first-ruling cofactor has degree {f3.degree} > {a - q - 1}")
     f3form = _homog_x(K, f3.coeffs, a - q - 1)
 
     W = V0 - f3form * KX * BiPoly.monomial(K, 0, b - q, 0, b - q)
-    assert all(row[b - q] == 0 for row in W.rows)
+    if not all(row[b - q] == 0 for row in W.rows):
+        raise AssertionError("boundary column survived the first-ruling peel")
     g = BiPoly(K, a, b - q - 1, [row[: b - q] for row in W.rows])
 
     # f = U0 + f3*(Y0^(q-1)*Y1^(b-q+1) - Y1^b)
@@ -140,7 +146,8 @@ def decompose(F):
     f = U0 + f3form * MYtail
 
     out = Decomposition(f=f, g=g, kx=KX, ky=KY)
-    assert out.verify(F), "recombination failed"
+    if not out.verify(F):
+        raise AssertionError("recombination failed")
     return out
 
 

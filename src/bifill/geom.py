@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 
 from .bipoly import BiPoly, binary_eval
-from .config import DEFAULT_BUDGETS
 from .errors import BadParameters, FieldMismatch, Infeasible, ZeroPolynomial
 from .gf import FieldElement, extension_field
 
@@ -210,19 +209,29 @@ def segre(pair):
     )
 
 
-def count_points(F, m=1, budget=None):
+# Most points of P1xP1 one enumeration may visit.
+POINT_BUDGET = 10**8
+
+
+def enumerable_extension(field, m):
+    """The degree-m extension of field, or Infeasible when its P1xP1 has
+    more than POINT_BUDGET points."""
+    L = extension_field(field, m)
+    if (L.order + 1) ** 2 > POINT_BUDGET:
+        raise Infeasible(
+            f"({L.order}+1)^2 points exceed the enumeration budget {POINT_BUDGET}"
+        )
+    return L
+
+
+def count_points(F, m=1):
     """Rational point count of the zero set over the degree-m extension by
     full enumeration."""
     if F.is_zero():
         raise ZeroPolynomial("zero polynomial has no curve")
     if m < 1:
         raise BadParameters("extension degree must be >= 1")
-    cap = budget if budget is not None else DEFAULT_BUDGETS.point_budget
-    L = extension_field(F.field, m)
-    if (L.order + 1) ** 2 > cap:
-        raise Infeasible(
-            f"({L.order}+1)^2 points exceed the enumeration budget {cap}"
-        )
+    L = enumerable_extension(F.field, m)
     G = F.map_field(L)
     coords = [P.coords() for P in enum_p1(L)]
     total = 0

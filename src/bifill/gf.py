@@ -54,7 +54,6 @@ __all__ = [
     "prime_power",
     "field_for",
     "enumerate_field",
-    "embed",
     "embedding_map",
     "unipoly_gcd",
     "unipoly_is_irreducible",
@@ -150,7 +149,8 @@ class Field:
                 if all(self._pow_raw(cand, c) != 1 for c in checks):
                     g = cand
                     break
-            assert g is not None, "multiplicative group is cyclic"
+            if g is None:
+                raise AssertionError(f"no generator of GF({order})* found")
         self.generator = g
         exp = [1] * (order - 1)
         for i in range(1, order - 1):
@@ -311,10 +311,6 @@ class Field:
             return 1 if k == 0 else 0
         return self._exp[(self._log[a] * k) % (self.order - 1)]
 
-    def frob(self, a):
-        """x -> x^p, the absolute Frobenius."""
-        return self.pow_(a, self.p)
-
     def element(self, i):
         return FieldElement(self, i)
 
@@ -410,10 +406,6 @@ class FieldElement:
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg(self.i))
-
-    def frobenius(self, q):
-        """x -> x^q for a subfield cardinality q; fixes exactly GF(q)."""
-        return FieldElement(self.field, self.field.pow_(self.i, q))
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -529,13 +521,7 @@ def parse_field_spec(text):
     if "q" in kv:
         if mod is not None or set(kv) != {"q"}:
             raise BadParameters("q= form takes no other parameters")
-        q = kv["q"]
-        if q < 2:
-            raise BadParameters("field cardinality must be at least 2")
-        pe = prime_power(q)
-        if pe is None:
-            raise NotPrime(f"{q} is not a prime power")
-        return field_make(*pe)
+        return field_for(kv["q"])
     if "p" not in kv:
         raise BadParameters("field spec needs q= or p=")
     p = kv.pop("p")
@@ -561,14 +547,14 @@ def prime_power(q):
     return (p, e) if q == 1 else None
 
 
-def field_for(q, field=None):
-    """The canonical GF(q); a given field is returned instead once its
-    order is checked to be q."""
-    if field is None:
-        return parse_field_spec(f"q={q}")
-    if field.order != q:
-        raise FieldMismatch(f"field of order {field.order} given for q={q}")
-    return field
+def field_for(q):
+    """The canonical GF(q)."""
+    if q < 2:
+        raise BadParameters("field cardinality must be at least 2")
+    pe = prime_power(q)
+    if pe is None:
+        raise NotPrime(f"{q} is not a prime power")
+    return field_make(*pe)
 
 
 def enumerate_field(field):
@@ -636,13 +622,6 @@ def _build_embedding(sub, sup):
             acc = target.add(acc, target.mul(c, rp))
         out.append(acc)
     return out
-
-
-def embed(sub, sup, x):
-    """Image of x under the deterministic embedding of sub into sup."""
-    mp = embedding_map(sub, sup)
-    i = x.i if isinstance(x, FieldElement) else x
-    return FieldElement(sup, mp[i])
 
 
 # -- univariate polynomials ---------------------------------------------------
@@ -790,9 +769,6 @@ class UniPoly:
     def __floordiv__(self, other):
         return self.divmod_poly(other)[0]
 
-    def mulmod(self, other, mod):
-        return (self * other) % mod
-
     def powmod(self, k, mod):
         F = self.field
         r = UniPoly._raw(F, (1,))
@@ -859,23 +835,6 @@ def unipoly_gcd(f, g):
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
-
-
-def _ext_gcd(f, g):
-    """(d, u, v) with u*f + v*g = d, d the monic gcd."""
-    F = f.field
-    r0, r1 = f, g
-    s0, s1 = UniPoly._raw(F, (1,)), UniPoly._raw(F, ())
-    t0, t1 = UniPoly._raw(F, ()), UniPoly._raw(F, (1,))
-    while not r1.is_zero():
-        q, r = r0.divmod_poly(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    c = F.inv(r0.lc())
-    return r0.scale(c), s0.scale(c), t0.scale(c)
 
 
 def unipoly_is_irreducible(f):
@@ -975,14 +934,15 @@ def _factor_squarefree(f, rng):
     return out
 
 
-def unipoly_factor(f, seed=0):
+def unipoly_factor(f):
     """Complete factorization into monic irreducibles with multiplicities,
-    sorted by (degree, coefficient tuple); deterministic for a fixed seed.
-    The product of the factors times lc(f) rebuilds f exactly.
+    sorted by (degree, coefficient tuple), so the result does not depend on
+    the random splits. The product of the factors times lc(f) rebuilds f
+    exactly.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     out = {}
     work = f.monic()
     _factor_monic(work, out, rng)

@@ -8,6 +8,10 @@ which pins the kernel dimension at
 
     (a+1)(b+1) - min(a+1, q+1) * min(b+1, q+1).
 
+The kernel is spanned by the multiples f*KX + g*KY of the two
+Frobenius-difference forms (the splitting of filling.decompose), so the
+basis is row-reduced from those multiples directly.
+
 census walks the nonzero kernel vectors up to scalar (first nonzero
 coordinate normalized to 1, remaining coordinates in counting order) and
 classifies each form.  The factor search and conjugate-norm membership of
@@ -28,51 +32,33 @@ from typing import Optional, Tuple
 
 from .analysis import certify_smooth, is_abs_irreducible
 from .bipoly import BiPoly, row_reduce
-from .config import DEFAULT_BUDGETS
 from .errors import BadParameters, Infeasible
-from .filling import is_filling
-from .geom import enum_p1, projective_count, projective_vectors
+from .filling import frobenius_forms, is_filling
+from .geom import projective_count, projective_vectors
 from .gf import field_for
 
 
-def filling_space_basis(q, a, b, field=None):
+def filling_space_basis(q, a, b):
     """Deterministic row-reduced basis of the space of filling forms of
-    bi-degree (a,b) over GF(q): kernel of the evaluation matrix at the
-    rational pairs, coefficient columns in row-major (i,j) order."""
+    bi-degree (a,b) over GF(q), coefficient columns in row-major (i,j)
+    order: the span of KX times every bi-degree (a-q-1,b) monomial and KY
+    times every (a,b-q-1) monomial."""
     if a < 0 or b < 0:
         raise BadParameters(f"bad bi-degree ({a},{b})")
-    K = field_for(q, field)
-    pts = [P.coords() for P in enum_p1(K)]
+    K = field_for(q)
+    KX, KY = frobenius_forms(K)
+    gens = []
+    if a > q:
+        gens += [KX * BiPoly.monomial(K, a - q - 1, b, i, j)
+                 for i in range(a - q) for j in range(b + 1)]
+    if b > q:
+        gens += [KY * BiPoly.monomial(K, a, b - q - 1, i, j)
+                 for i in range(a + 1) for j in range(b - q)]
     nc = (a + 1) * (b + 1)
-
-    def powers(u0, u1, n):
-        # row of u0^(n-i) u1^i, i = 0..n
-        p0 = [1]
-        p1 = [1]
-        for _ in range(n):
-            p0.append(K.mul(p0[-1], u0))
-            p1.append(K.mul(p1[-1], u1))
-        return [K.mul(p0[n - i], p1[i]) for i in range(n + 1)]
-
-    mat = []
-    for u0, u1 in pts:
-        xrow = powers(u0, u1, a)
-        for v0, v1 in pts:
-            yrow = powers(v0, v1, b)
-            mat.append([K.mul(xrow[i], yrow[j]) for i in range(a + 1) for j in range(b + 1)])
-    pivots = row_reduce(K, mat, nc)
-    pivset = set(pivots)
-    free = [c for c in range(nc) if c not in pivset]
-    kernel = []
-    for fc in free:
-        v = [0] * nc
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = K.neg(mat[r][fc])
-        kernel.append(v)
-    row_reduce(K, kernel, nc)  # canonical basis of the kernel itself
+    mat = _flat(gens)
+    rank = len(row_reduce(K, mat, nc))
     out = []
-    for v in kernel:
+    for v in mat[:rank]:
         rows = [v[i * (b + 1):(i + 1) * (b + 1)] for i in range(a + 1)]
         B = BiPoly(K, a, b, rows)
         if not is_filling(B):
@@ -233,14 +219,17 @@ def _classify(F):
         return "unknown"
 
 
-def _filling_space(K, q, a, b, budget):
+# Most candidates one census or scan cell may classify.
+CENSUS_BUDGET = 10**7
+
+
+def _filling_space(q, a, b):
     """(basis, candidate count) of the filling space, or Infeasible when
-    the candidates exceed the census budget."""
-    basis = filling_space_basis(q, a, b, field=K)
+    the candidates exceed CENSUS_BUDGET."""
+    basis = filling_space_basis(q, a, b)
     total = projective_count(q, len(basis))
-    cap = budget if budget is not None else DEFAULT_BUDGETS.census_budget
-    if total > cap:
-        raise Infeasible(f"{total} candidates exceed the census budget {cap}")
+    if total > CENSUS_BUDGET:
+        raise Infeasible(f"{total} candidates exceed the census budget {CENSUS_BUDGET}")
     return basis, total
 
 
@@ -256,7 +245,7 @@ def _classified(K, a, b, basis, lo, hi):
         yield k, F, _classify(F)
 
 
-def census(q, a, b, smooth=False, exemplar_cap=8, budget=None, part=None, field=None):
+def census(q, a, b, smooth=False, exemplar_cap=8, part=None):
     """Classify every filling form of bi-degree (a,b) over GF(q) up to
     scalar.
 
@@ -265,8 +254,8 @@ def census(q, a, b, smooth=False, exemplar_cap=8, budget=None, part=None, field=
     slices of the candidate range; merge_reports glues slices back
     together."""
     t0 = time.perf_counter()
-    K = field_for(q, field)
-    basis, total = _filling_space(K, q, a, b, budget)
+    K = field_for(q)
+    basis, total = _filling_space(q, a, b)
     if part is None:
         lo, hi = 0, total
     else:
@@ -376,7 +365,7 @@ class ScanCell:
         }
 
 
-def min_bidegree_scan(q, a_max, b_max, budget=None, field=None):
+def min_bidegree_scan(q, a_max, b_max):
     """Which bi-degrees (a,b) <= (a_max,b_max) carry an absolutely
     irreducible filling form over GF(q)?
 
@@ -384,21 +373,21 @@ def min_bidegree_scan(q, a_max, b_max, budget=None, field=None):
     form exists there; see min_bidegree_check).  Other cells enumerate the
     filling space and stop at the first irreducible candidate; exhaustion
     with unknowns pending marks the cell infeasible rather than empty."""
-    K = field_for(q, field)
+    K = field_for(q)
     table = {}
     for a in range(a_max + 1):
         for b in range(b_max + 1):
             if a <= q or b <= q:
                 table[(a, b)] = ScanCell(a, b, False, "degree-lemma")
                 continue
-            table[(a, b)] = _scan_cell(K, q, a, b, budget)
+            table[(a, b)] = _scan_cell(K, q, a, b)
     return table
 
 
-def _scan_cell(K, q, a, b, budget):
+def _scan_cell(K, q, a, b):
     """A census of the cell that stops at the first irreducible."""
     try:
-        basis, total = _filling_space(K, q, a, b, budget)
+        basis, total = _filling_space(q, a, b)
     except Infeasible:
         return ScanCell(a, b, None, "infeasible")
     saw_unknown = False

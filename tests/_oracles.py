@@ -47,6 +47,53 @@ def power_table_eval(F, x0, x1, y0, y1):
     return acc
 
 
+def _rref(K, mat, ncols):
+    """Gauss-Jordan elimination of mat in place over the field K; returns
+    the pivot columns."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = K.inv(mat[r][c])
+        mat[r] = [K.mul(x, inv) for x in mat[r]]
+        for i in range(len(mat)):
+            f = mat[i][c]
+            if i != r and f:
+                mat[i] = [K.sub(x, K.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return pivots
+
+
+def filling_kernel_rows(K, a, b):
+    """Reduced row echelon basis, as flat row-major coefficient lists, of
+    the kernel of the matrix evaluating every bi-degree (a,b) monomial at
+    every rational pair of P1xP1 over K."""
+    pts = [(1, t) for t in range(K.order)] + [(0, 1)]
+    nc = (a + 1) * (b + 1)
+    mat = []
+    for u0, u1 in pts:
+        pu0, pu1 = _powers(K, u0, a), _powers(K, u1, a)
+        for v0, v1 in pts:
+            pv0, pv1 = _powers(K, v0, b), _powers(K, v1, b)
+            mat.append([
+                K.mul(K.mul(pu0[a - i], pu1[i]), K.mul(pv0[b - j], pv1[j]))
+                for i in range(a + 1) for j in range(b + 1)
+            ])
+    pivots = _rref(K, mat, nc)
+    kernel = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        v = [0] * nc
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = K.neg(mat[r][fc])
+        kernel.append(v)
+    _rref(K, kernel, nc)
+    return kernel
+
+
 def brute_point_count(F, m=1):
     """Projective pair count by enumerating affine coordinate 4-tuples and
     normalizing by hand."""
@@ -106,7 +153,9 @@ def _poly_det_bareiss(mat, K):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 quo, rem = num.divmod_poly(prev)
-                assert rem.is_zero()
+                # not an assert: pytest rewrites only test modules, -O would drop it
+                if not rem.is_zero():
+                    raise AssertionError("Bareiss step left a remainder")
                 m[i][j] = quo
         prev = m[k][k]
     det = m[n - 1][n - 1]

@@ -23,7 +23,7 @@ from bifill.analysis import (
 from bifill.bipoly import BiPoly, eval_bipoly, parse_bipoly
 from bifill.bounds import check_attainment, segre_degree, space_curve_bound
 from bifill.families import _ruling_pair, construct, fiber_union, pair_curve
-from bifill.filling import decompose, is_filling
+from bifill.filling import decompose, frobenius_forms, is_filling
 from bifill.geom import count_points, fiber_forms, rational_pairs
 from bifill.gf import UniPoly, parse_field_spec, unipoly_factor
 from bifill.search import (
@@ -170,6 +170,7 @@ def test_criterion_07_reduced_singularity_system():
 def test_criterion_08_certifier_against_enumeration():
     with criterion(8, "smoothness certificates vs brute singular search", 600.0):
         K = field(3)
+        KX, KY = frobenius_forms(K)
         rng = random.Random(0)
 
         def draw_pair():
@@ -178,7 +179,7 @@ def test_criterion_08_certifier_against_enumeration():
                 g = BiPoly(K, 4, 0, [[rng.randrange(3)] for _ in range(5)])
                 if f.is_zero() or g.is_zero():
                     continue
-                F = pair_curve(f, g, check=False)
+                F = f * KX + g * KY
                 if not F.is_zero():
                     return F
 

@@ -17,7 +17,7 @@ from bifill.analysis import (
 from bifill.bipoly import divides, eval_bipoly, parse_bipoly
 from bifill.errors import Infeasible, SetupViolation
 from bifill.families import _ruling_pair, construct, pair_curve
-from bifill.filling import frobenius_forms
+from bifill.filling import frobenius_forms, is_filling
 from bifill.geom import rational_pairs
 from bifill.gf import parse_field_spec
 
@@ -129,11 +129,17 @@ def test_validate_setup_rejects_repeated_factors(gf3):
     assert not validate_setup(f, g)
 
 
-def test_pair_curve_check_false_bypasses_the_gate(gf5):
+def test_pair_curve_rejects_what_the_bare_sum_accepts(gf5):
+    # Y0^6 - Y1^6 vanishes on rational points: pair_curve refuses the pair,
+    # while the sum f*KX + g*KY itself is still a filling (6,6) form
     f = parse_bipoly("Y0^6 + 4*Y1^6", gf5)
     g = parse_bipoly("X0^6 + 4*X1^6", gf5)
-    F = pair_curve(f, g, check=False)
+    with pytest.raises(SetupViolation):
+        pair_curve(f, g)
+    KX, KY = frobenius_forms(gf5)
+    F = f * KX + g * KY
     assert F.bidegree == (6, 6)
+    assert is_filling(F)
 
 
 # -- absolute irreducibility -----------------------------------------------------

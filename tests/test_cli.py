@@ -39,7 +39,6 @@ def test_construct_json(capsys):
     assert doc["smooth"] == "Smooth"
     assert doc["irreducible"] is True
     assert doc["points"] == 9
-    assert doc["seed"] == 0
     assert "elapsed" in err
 
 
@@ -54,11 +53,6 @@ def test_construct_transposed(capsys):
     code, doc, _ = run_json(capsys, "construct", "--q", "2", "--transposed", "--json")
     assert code == 0
     assert doc["bidegree"] == [3, 4]
-
-
-def test_construct_seed_echo(capsys):
-    _, doc, _ = run_json(capsys, "construct", "--q", "2", "--seed", "7", "--json")
-    assert doc["seed"] == 7
 
 
 def test_construct_usage_error(capsys):
@@ -199,31 +193,31 @@ def test_field_info_by_spec(capsys):
 PINNED_JSON = {
     "census-q2-43": (
         ("census", "--q", "2", "--bidegree", "4,3", "--smooth"),
-        "f173b9818a7c417831454988dd86aabbd8ece639ec3f6e4ebb2c863a7f960d6a"),
+        "5a9d48325dae2eb15640a85e61af4b1dff50b290d13be14ecb2254659392b3cd"),
     "census-q2-34": (
         ("census", "--q", "2", "--bidegree", "3,4", "--smooth"),
-        "e917aab90e736b64b5e2af0d52566205d2dd0f483bd6f9577d35a820a9a4bf88"),
+        "e77b1dcd085e2e5d4274ab01a41d276adc71e035cded5d9f63b8a1c47a9d14d7"),
     "scan-q2-44": (
         ("scan", "--q", "2", "--max", "4,4"),
-        "b28b5add28d2439a855dbb8ca3a5fdbfdc6aa72d643fe5b9434a671c70d329c5"),
+        "7cc3bd6d84f322ca0ed7e5a0bf5c4c830155f47669a67f32ab65359221b15b4e"),
     "construct-q2": (
         ("construct", "--q", "2"),
-        "3bbbc733fb82e01fe239299484f1e4102a20f4955411e15a8621601432bbbae5"),
+        "c8b6a90a9d87eeccff46a382e94b2448e2b7e3ce7ec594e2877378dba53f4106"),
     "construct-q3": (
         ("construct", "--q", "3"),
-        "f224d7220adebd62ca461678f27452afef4e2a1a66843d8ff403e267063a8565"),
+        "dfe69f06982bc1a005171f8a483413b9dccfa43aa0dbf81549e3b392f5658e04"),
     "construct-q4-transposed": (
         ("construct", "--q", "4", "--transposed"),
-        "fc8285c70422440c6b27728c2fcdbdf5b90ac5e7b8727e44a7b2a26ca0220191"),
+        "9143c8aba5f9204a04ca3ca1297d2bd8277505be02b66bda3530173a1277dbc5"),
     "count-T42-ext4": (
         ("count", "--q", "2", "--poly", T42, "--ext", "4"),
-        "515b712b16aeb6d2ebb0f7d5644e9cbd5cca8af16be1010e7389353d1823cc6f"),
+        "51bf10a8e31d60a0b3ff7fa43a077612a8007d60e6f809f7e34a8df0c291459d"),
     "decompose-T42": (
         ("decompose", "--q", "2", "--poly", T42),
-        "93d8ae1e8fdc7bcb055c55740be2db27c3d9c430cd2487bae6c6cf8ef1f204b0"),
+        "86e8fda2783dc20d0f77fbc014dedaaf1e5f818a44db5f989279a71c88d98f37"),
     "verify-T42": (
         ("verify", "--q", "2", "--poly", T42),
-        "1bf3bdc618612a91f8c423f3e8dc4c67cc5afa8d4c3a0ec55b77b549122c3cdd"),
+        "1c0d5f99a3ab41f7c347bd97d25e58d3c0299a507d0f210c55f0338b37ac5a47"),
 }
 
 

@@ -10,7 +10,7 @@ from bifill.families import (
     pair_curve,
     pick_params,
 )
-from bifill.filling import is_filling
+from bifill.filling import frobenius_forms, is_filling
 from bifill.geom import fiber_forms
 from bifill.gf import parse_field_spec
 
@@ -95,7 +95,8 @@ def test_pair_curve_gates_on_setup(gf5):
     g = parse_bipoly("X0^6 + 3*X1^6", gf5)
     with pytest.raises(SetupViolation):
         pair_curve(f, g)
-    assert pair_curve(f, g, check=False).bidegree == (6, 6)
+    KX, KY = frobenius_forms(gf5)
+    assert (f * KX + g * KY).bidegree == (6, 6)
 
 
 # -- the reducible baseline ------------------------------------------------------

@@ -1,8 +1,11 @@
 import pytest
 
 from _oracles import brute_point_count
+from bifill import geom
+from bifill.analysis import common_zeros
 from bifill.bipoly import BiPoly, parse_bipoly
-from bifill.errors import BadParameters, FieldMismatch, ZeroPolynomial
+from bifill.errors import BadParameters, FieldMismatch, Infeasible, ZeroPolynomial
+from bifill.families import construct
 from bifill.filling import frobenius_forms
 from bifill.geom import (
     P3Point,
@@ -138,6 +141,15 @@ def test_ruling_union_count(q, m):
 def test_count_points_rejects_the_zero_form(gf2):
     with pytest.raises(ZeroPolynomial):
         count_points(BiPoly.zero(gf2, 1, 1), 1)
+
+
+def test_point_budget_makes_enumeration_infeasible(monkeypatch, gf2):
+    monkeypatch.setattr(geom, "POINT_BUDGET", 8)
+    F = construct(2)
+    with pytest.raises(Infeasible, match=r"\(2\+1\)\^2 points exceed the enumeration budget 8"):
+        count_points(F)
+    with pytest.raises(Infeasible):
+        common_zeros([F])
 
 
 def test_pointpair_field_mismatch_rejected(gf2, gf3):

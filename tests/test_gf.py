@@ -178,7 +178,7 @@ def test_factor_remultiplies(f):
     if f.is_zero() or f.degree == 0:
         return
     K = f.field
-    factors = unipoly_factor(f, seed=0)
+    factors = unipoly_factor(f)
     prod = UniPoly(K, [f.lc()])
     for base, mult in factors:
         assert base.lc() == 1

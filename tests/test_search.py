@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
-from _oracles import rref_rank_mod_p
+from _oracles import filling_kernel_rows, rref_rank_mod_p
+from bifill import analysis, search
 from bifill.analysis import _proj_forms
 from bifill.bipoly import BiPoly
-from bifill.errors import BadParameters
+from bifill.errors import BadParameters, Infeasible
 from bifill.families import construct
 from bifill.filling import is_filling
 from bifill.geom import rational_pairs
@@ -55,6 +56,23 @@ def test_space_dimension_against_rank_oracle(q, a, b):
         rows.append(row)
     rank = rref_rank_mod_p(rows, K.p)
     assert len(filling_space_basis(q, a, b)) == (a + 1) * (b + 1) - rank
+
+
+@pytest.mark.parametrize(
+    "q,a,b",
+    [
+        (2, 1, 1), (3, 3, 2), (4, 0, 4),  # a, b <= q: no filling form
+        (2, 1, 4), (3, 2, 5), (4, 6, 3), (9, 1, 10),  # one entry above q
+        (2, 3, 3), (2, 4, 5), (3, 4, 4), (3, 6, 5), (4, 5, 7), (5, 6, 6),
+        (8, 9, 9), (9, 10, 10),  # both above q
+    ],
+)
+def test_basis_is_the_evaluation_kernel(q, a, b):
+    # the KX/KY multiples span the kernel of the evaluation matrix, and a
+    # reduced row echelon basis is unique for its span
+    basis = filling_space_basis(q, a, b)
+    rows = [[c for row in B.rows for c in row] for B in basis]
+    assert rows == filling_kernel_rows(field(q), a, b)
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
@@ -120,6 +138,21 @@ def test_census_333_has_no_irreducible_member(gf2):
     assert rep.n_reducible == 127
     assert rep.n_unknown == 0
     assert rep.irreducible_indices == ()
+
+
+def test_census_sorts_everything_unknown_past_the_factor_budget(monkeypatch):
+    # no divisor search fits, and no (3,3) form is smooth and irreducible
+    monkeypatch.setattr(analysis, "FACTOR_SEARCH_BUDGET", 1)
+    rep = census(2, 3, 3)
+    assert (rep.n_irreducible, rep.n_reducible, rep.n_unknown) == (0, 0, 127)
+
+
+def test_census_budget_makes_census_infeasible_and_the_scan_undecided(monkeypatch):
+    monkeypatch.setattr(search, "CENSUS_BUDGET", 126)
+    with pytest.raises(Infeasible, match="127 candidates exceed the census budget 126"):
+        census(2, 3, 3)
+    cell = min_bidegree_scan(2, 3, 3)[(3, 3)]
+    assert (cell.exists, cell.method) == (None, "infeasible")
 
 
 def test_census_below_the_degree_floor(gf2):
