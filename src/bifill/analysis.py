@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import gcd as int_gcd
 from typing import Optional
 
-from .bipoly import BiPoly, binary_eval, divides, resultant_elim
+from .bipoly import CHARTS, BiPoly, binary_eval, divides, resultant_elim
 from .errors import BadParameters, BadShape, Infeasible, ZeroPolynomial
 from .geom import (
     PointPair,
@@ -65,9 +65,6 @@ __all__ = [
     "is_abs_irreducible",
     "conjugate_norms",
 ]
-
-_CHARTS = ("X0Y0", "X0Y1", "X1Y0", "X1Y1")
-
 
 def jacobian_system(F):
     """The five forms whose common zeros are the singular points."""
@@ -302,7 +299,7 @@ def certify_smooth(F):
     K = F.field
     trace = []
     inconclusive = False
-    for chart in _CHARTS:
+    for chart in CHARTS:
         decided = False
         for orientation in ("y", "x"):
             members = _chart_members(F, chart, orientation)
@@ -525,9 +522,14 @@ def conjugate_norms(field, a, b, k):
     return _NORM_CACHE[key]
 
 
-def _nonvanishing_points(F, cap=32):
-    """Coordinate tuples over the quadratic extension where F is nonzero;
-    a divisor of F can never vanish at such a point."""
+# Most probe points find_factor tests each divisor candidate at.
+PROBE_CAP = 32
+
+
+def _nonvanishing_points(F):
+    """(L, points): the quadratic extension L and up to PROBE_CAP coordinate
+    tuples over it where F is nonzero; a divisor of F can never vanish at
+    such a point."""
     K = F.field
     L = extension_field(K, 2)
     G = F.map_field(L)
@@ -539,10 +541,10 @@ def _nonvanishing_points(F, cap=32):
             continue
         for y0, y1 in coords:
             if binary_eval(L, coeffs, y0, y1) != 0:
-                out.append((L, (x0, x1, y0, y1)))
-                if len(out) >= cap:
-                    return out
-    return out
+                out.append((x0, x1, y0, y1))
+                if len(out) >= PROBE_CAP:
+                    return L, out
+    return L, out
 
 
 # Most projective divisor candidates find_factor, or one conjugate-norm
@@ -569,17 +571,11 @@ def find_factor(F):
         raise Infeasible(
             f"{total} division candidates exceed the budget {FACTOR_SEARCH_BUDGET}"
         )
-    probes = _nonvanishing_points(F)
-    probe_cache = {}
+    L, probes = _nonvanishing_points(F)
     for a2, b2 in cells:
-        key = (a2, b2)
-        if key not in probe_cache:
-            probe_cache[key] = [
-                (G, G.map_field(probes[0][0]) if probes else G)
-                for G in _proj_forms(K, a2, b2)
-            ]
-        for G, GL in probe_cache[key]:
-            if any(GL.eval(*pt) == 0 for _L, pt in probes):
+        for G in _proj_forms(K, a2, b2):
+            GL = G.map_field(L)
+            if any(GL.eval(*pt) == 0 for pt in probes):
                 continue
             if divides(G, F) is not None:
                 return G

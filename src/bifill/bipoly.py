@@ -158,38 +158,21 @@ class BiPoly:
     def partial(self, var):
         """Formal partial derivative; a depleted variable block yields the
         zero polynomial at the clamped bi-degree."""
+        if var in ("Y0", "Y1"):
+            return self.transpose().partial("X" + var[1]).transpose()
         F = self.field
         p = F.p
         a, b = self.a, self.b
-        if var in ("X0", "X1") and a == 0:
+        if var not in ("X0", "X1"):
+            raise ValueError(f"unknown variable {var!r}")
+        if a == 0:
             return BiPoly.zero(F, 0, b)
-        if var in ("Y0", "Y1") and b == 0:
-            return BiPoly.zero(F, a, 0)
         if var == "X0":
-            rows = tuple(
-                tuple(F.mul(self.rows[i][j], (a - i) % p) for j in range(b + 1))
-                for i in range(a)
-            )
-            return BiPoly._raw(F, a - 1, b, rows)
-        if var == "X1":
-            rows = tuple(
-                tuple(F.mul(self.rows[i + 1][j], (i + 1) % p) for j in range(b + 1))
-                for i in range(a)
-            )
-            return BiPoly._raw(F, a - 1, b, rows)
-        if var == "Y0":
-            rows = tuple(
-                tuple(F.mul(self.rows[i][j], (b - j) % p) for j in range(b))
-                for i in range(a + 1)
-            )
-            return BiPoly._raw(F, a, b - 1, rows)
-        if var == "Y1":
-            rows = tuple(
-                tuple(F.mul(self.rows[i][j + 1], (j + 1) % p) for j in range(b))
-                for i in range(a + 1)
-            )
-            return BiPoly._raw(F, a, b - 1, rows)
-        raise ValueError(f"unknown variable {var!r}")
+            scaled = [(self.rows[i], a - i) for i in range(a)]
+        else:
+            scaled = [(self.rows[i + 1], i + 1) for i in range(a)]
+        rows = tuple(tuple(F.mul(c, k % p) for c in row) for row, k in scaled)
+        return BiPoly._raw(F, a - 1, b, rows)
 
     # -- charts --------------------------------------------------------------
 
@@ -204,29 +187,10 @@ class BiPoly:
     # -- text and JSON -------------------------------------------------------
 
     def text(self):
-        F = self.field
         a, b = self.a, self.b
-        parts = []
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if c == 0:
-                    continue
-                factors = []
-                if a - i > 0:
-                    factors.append("X0" if a - i == 1 else f"X0^{a - i}")
-                if i > 0:
-                    factors.append("X1" if i == 1 else f"X1^{i}")
-                if b - j > 0:
-                    factors.append("Y0" if b - j == 1 else f"Y0^{b - j}")
-                if j > 0:
-                    factors.append("Y1" if j == 1 else f"Y1^{j}")
-                if not factors:
-                    parts.append(F.text_of(c))
-                elif c == 1:
-                    parts.append("*".join(factors))
-                else:
-                    parts.append("*".join([F.text_of(c)] + factors))
-        return " + ".join(parts) if parts else "0"
+        return _text(self.field, self.rows, lambda i, j: (
+            _power("X0", a - i) + _power("X1", i) + _power("Y0", b - j) + _power("Y1", j)
+        ))
 
     def to_json(self):
         return {
@@ -245,6 +209,32 @@ class BiPoly:
 
     def __repr__(self):
         return self.text()
+
+
+def _power(var, k):
+    """The factor var^k as a list of at most one string."""
+    if k == 0:
+        return []
+    return [var if k == 1 else f"{var}^{k}"]
+
+
+def _text(F, rows, factors):
+    """Canonical text of a coefficient matrix: one term per nonzero entry
+    [i][j], the coefficient (left out when it is 1 and a factor follows)
+    times the strings of factors(i, j), joined by ' + '."""
+    parts = []
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            if c == 0:
+                continue
+            fs = factors(i, j)
+            if not fs:
+                parts.append(F.text_of(c))
+            elif c == 1:
+                parts.append("*".join(fs))
+            else:
+                parts.append("*".join([F.text_of(c)] + fs))
+    return " + ".join(parts) if parts else "0"
 
 
 def _restrict_rows(F, rows, x0, x1):
@@ -300,7 +290,7 @@ def _convolve(F, rows1, rows2):
 
 
 def _transpose_rows(rows):
-    return tuple(tuple(rows[i][j] for i in range(len(rows))) for j in range(len(rows[0])))
+    return tuple(zip(*rows))
 
 
 def _chart_rows(rows, a, b, chart):
@@ -428,13 +418,6 @@ class AffinePoly:
             for j in range(self.deg_y + 1)
         ]
 
-    def x_coeffs(self):
-        F = self.field
-        return [
-            UniPoly(F, list(self.rows[i]))
-            for i in range(self.deg_x + 1)
-        ]
-
     @classmethod
     def from_y_coeffs(cls, field, polys):
         nx = max((p.degree for p in polys if not p.is_zero()), default=0)
@@ -444,38 +427,26 @@ class AffinePoly:
                 rows[i][j] = c
         return cls(field, rows)
 
-    @classmethod
-    def from_x_coeffs(cls, field, polys):
-        ny = max((p.degree for p in polys if not p.is_zero()), default=0)
-        rows = [[0] * (ny + 1) for _ in range(len(polys))]
-        for i, p in enumerate(polys):
-            for j, c in enumerate(p.coeffs):
-                rows[i][j] = c
-        return cls(field, rows)
-
     def as_unipoly(self, var):
         """Convert to a univariate polynomial when the other degree is 0."""
-        if var == "x":
-            if self.deg_y != 0:
-                raise BadShape("polynomial still involves y")
-            return UniPoly(self.field, [r[0] for r in self.rows])
-        if self.deg_x != 0:
-            raise BadShape("polynomial still involves x")
-        return UniPoly(self.field, list(self.rows[0]))
+        P = self if var == "x" else self.transpose()
+        if P.deg_y != 0:
+            raise BadShape("polynomial still involves " + ("y" if var == "x" else "x"))
+        return UniPoly(self.field, [r[0] for r in P.rows])
 
     def divmod_uni(self, m, var):
         """Long division by a univariate polynomial in var with invertible
         leading coefficient; returns (quotient, remainder)."""
+        if var == "x":
+            quot, rem = self.transpose().divmod_uni(m, "y")
+            return quot.transpose(), rem.transpose()
         F = self.field
         if m.is_zero():
             raise ZeroDivisor("division by the zero polynomial")
         dm = m.degree
         if dm == 0:
             return self.scale(F.inv(m.coeffs[0])), AffinePoly.zero(F)
-        if var == "x":
-            cols = self.x_coeffs()  # entry i multiplies x^i, a y-polynomial
-        else:
-            cols = self.y_coeffs()
+        cols = self.y_coeffs()
         inv_lc = F.inv(m.lc())
         quot = [UniPoly(F, ()) for _ in range(max(len(cols) - dm, 0))]
         work = list(cols)
@@ -489,30 +460,12 @@ class AffinePoly:
                 if mc:
                     work[i - dm + k] = work[i - dm + k] - qc.scale(mc)
         rem = work[:dm] if dm <= len(work) else work
-        builder = AffinePoly.from_x_coeffs if var == "x" else AffinePoly.from_y_coeffs
-        qpoly = builder(F, quot) if quot else AffinePoly.zero(F)
-        rpoly = builder(F, rem) if rem else AffinePoly.zero(F)
+        qpoly = AffinePoly.from_y_coeffs(F, quot) if quot else AffinePoly.zero(F)
+        rpoly = AffinePoly.from_y_coeffs(F, rem) if rem else AffinePoly.zero(F)
         return qpoly, rpoly
 
     def text(self):
-        parts = []
-        F = self.field
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if c == 0:
-                    continue
-                factors = []
-                if i > 0:
-                    factors.append("x" if i == 1 else f"x^{i}")
-                if j > 0:
-                    factors.append("y" if j == 1 else f"y^{j}")
-                if not factors:
-                    parts.append(F.text_of(c))
-                elif c == 1:
-                    parts.append("*".join(factors))
-                else:
-                    parts.append("*".join([F.text_of(c)] + factors))
-        return " + ".join(parts) if parts else "0"
+        return _text(self.field, self.rows, lambda i, j: _power("x", i) + _power("y", j))
 
     def __repr__(self):
         return self.text()
@@ -797,18 +750,11 @@ def resultant_elim(A, B, var):
     ca = A.y_coeffs()
     cb = B.y_coeffs()
     na, nb = A.deg_y, B.deg_y
-    if na == 0 and nb == 0:
-        return UniPoly(K, (1,))
-    if na == 0:
-        base = ca[0]
+    if na == 0 or nb == 0:
+        # Res(c, B) = c^deg B for a constant c in y, and Res(A, c) = c^deg A
+        base, n = (ca[0], nb) if na == 0 else (cb[0], na)
         out = UniPoly(K, (1,))
-        for _ in range(nb):
-            out = out * base
-        return out
-    if nb == 0:
-        base = cb[0]
-        out = UniPoly(K, (1,))
-        for _ in range(na):
+        for _ in range(n):
             out = out * base
         return out
     lca, lcb = ca[na], cb[nb]

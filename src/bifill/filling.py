@@ -74,11 +74,6 @@ def _homog_y(field, coeffs, deg):
     return BiPoly(field, 0, deg, rows)
 
 
-def _homog_x(field, coeffs, deg):
-    rows = [[c] for c in list(coeffs) + [0] * (deg + 1 - len(coeffs))]
-    return BiPoly(field, deg, 0, rows)
-
-
 def decompose(F):
     """Split a filling form as f*kx + g*ky, tracing the constructive proof:
     reduce the chart polynomial modulo x^q-x then y^q-y, rehomogenize, and
@@ -134,7 +129,7 @@ def decompose(F):
     f3 = -f3q
     if f3.degree > a - q - 1:
         raise AssertionError(f"first-ruling cofactor has degree {f3.degree} > {a - q - 1}")
-    f3form = _homog_x(K, f3.coeffs, a - q - 1)
+    f3form = _homog_y(K, f3.coeffs, a - q - 1).transpose()
 
     W = V0 - f3form * KX * BiPoly.monomial(K, 0, b - q, 0, b - q)
     if not all(row[b - q] == 0 for row in W.rows):

@@ -15,6 +15,9 @@ which makes several embeddings the identity on indices.
 
 Multiplication, inversion and powering go through exp/log tables relative to
 a fixed generator (fields here stay small, a few thousand elements at most).
+An extension builds its tables with UniPoly arithmetic over its base field
+(the prime field for a one-level extension) modulo its modulus; a prime
+field builds them with integer arithmetic mod p.
 Addition needs no table in characteristic 2 (XOR on indices, since digit
 packing is by powers of two at every level); odd-characteristic fields use a
 flat table when small enough and digitwise base-field addition otherwise.
@@ -62,17 +65,6 @@ __all__ = [
 ]
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _prime_factors(n):
     """Distinct prime factors of n by trial division (n stays desk-sized)."""
     out = []
@@ -109,7 +101,10 @@ class Field:
         self.modulus = modulus  # length e+1, base-field indices, monic
         self.zero = 0
         self.one = 1
-        self._digits_cache = None
+        if e == 1 and base is None:
+            self._modpoly = None
+        else:
+            self._modpoly = UniPoly(base if base is not None else field_make(p), modulus)
         self._build_add()
         self._build_mul()
 
@@ -235,57 +230,20 @@ class Field:
 
     # -- multiplication ------------------------------------------------------
 
-    def _base_mul(self, x, y):
-        if self.base is not None:
-            return self.base.mul(x, y)
-        return (x * y) % self.p
-
-    def _base_add(self, x, y):
-        if self.base is not None:
-            return self.base.add(x, y)
-        return (x + y) % self.p
-
-    def _base_neg(self, x):
-        if self.base is not None:
-            return self.base.neg(x)
-        return (self.p - x) % self.p
+    def _poly(self, a):
+        return UniPoly(self._modpoly.field, self.coeffs_of(a))
 
     def _mul_raw(self, a, b):
-        """Table-free product: digit convolution reduced by the modulus."""
-        if self.e == 1 and self.base is None:
+        """Table-free product: UniPoly product over the base field reduced
+        by the modulus."""
+        if self._modpoly is None:
             return (a * b) % self.p
-        s, e = self.s, self.e
-        da = self.coeffs_of(a)
-        db = self.coeffs_of(b)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            if x == 0:
-                continue
-            for j, y in enumerate(db):
-                if y:
-                    prod[i + j] = self._base_add(prod[i + j], self._base_mul(x, y))
-        mod = self.modulus
-        for i in range(2 * e - 2, e - 1, -1):
-            c = prod[i]
-            if c == 0:
-                continue
-            prod[i] = 0
-            nc = self._base_neg(c)
-            for j in range(e):
-                if mod[j]:
-                    prod[i - e + j] = self._base_add(
-                        prod[i - e + j], self._base_mul(nc, mod[j])
-                    )
-        return self.index_of(prod[:e])
+        return self.index_of((self._poly(a) * self._poly(b) % self._modpoly).coeffs)
 
     def _pow_raw(self, a, k):
-        r = 1
-        while k:
-            if k & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            k >>= 1
-        return r
+        if self._modpoly is None:
+            return pow(a, k, self.p)
+        return self.index_of(self._poly(a).powmod(k, self._modpoly).coeffs)
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -441,7 +399,7 @@ def _intern(p, e, modulus, base):
 def field_make(p, e=1, base=None):
     """GF(p^e), or a degree-e extension of an explicit base field, with the
     canonical (lexicographically smallest) irreducible modulus."""
-    if not _is_prime(p):
+    if prime_power(p) != (p, 1):
         raise NotPrime(f"{p} is not prime")
     if base is not None and base.p != p:
         raise FieldMismatch("base field has a different characteristic")
@@ -466,27 +424,26 @@ def _canonical_modulus(base, e):
     raise AssertionError("an irreducible of every degree exists")
 
 
-def field_with_modulus(p, modulus, base=None):
-    """Field with an explicitly chosen monic irreducible modulus
+def field_with_modulus(p, modulus):
+    """GF(p^e) with an explicitly chosen monic irreducible modulus
     (constant-first coefficient list of length e+1)."""
-    if not _is_prime(p):
+    if prime_power(p) != (p, 1):
         raise NotPrime(f"{p} is not prime")
     modulus = tuple(modulus)
     e = len(modulus) - 1
     if e < 1:
         raise BadParameters("modulus must have positive degree")
-    if e == 1 and base is None:
+    if e == 1:
         if modulus != (0, 1):
             raise BadParameters("prime field modulus must be t")
         return field_make(p)
-    scan_base = base if base is not None else field_make(p)
-    if any(not 0 <= c < scan_base.order for c in modulus):
+    if any(not 0 <= c < p for c in modulus):
         raise BadParameters("modulus coefficient out of range")
     if modulus[-1] != 1:
         raise BadParameters("modulus must be monic")
-    if not unipoly_is_irreducible(UniPoly(scan_base, modulus)):
+    if not unipoly_is_irreducible(UniPoly(field_make(p), modulus)):
         raise BadParameters("modulus is reducible")
-    return _intern(p, e, modulus, base)
+    return _intern(p, e, modulus, None)
 
 
 def extension_field(field, m):

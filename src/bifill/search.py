@@ -26,8 +26,7 @@ min_bidegree_check: too few rows to meet every vertical fiber).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .analysis import certify_smooth, is_abs_irreducible
@@ -181,7 +180,6 @@ class CensusReport:
     n_smooth: Optional[int] = None
     singular_irreducible_indices: Optional[Tuple[int, ...]] = None
     part: Optional[Tuple[int, int]] = None
-    seconds: float = dc_field(default=0.0, compare=False)
 
     def to_json(self):
         return {
@@ -253,7 +251,6 @@ def census(q, a, b, smooth=False, exemplar_cap=8, part=None):
     the non-smooth ones.  part=(k,n) scans only the k-th of n contiguous
     slices of the candidate range; merge_reports glues slices back
     together."""
-    t0 = time.perf_counter()
     K = field_for(q)
     basis, total = _filling_space(q, a, b)
     if part is None:
@@ -297,7 +294,6 @@ def census(q, a, b, smooth=False, exemplar_cap=8, part=None):
         n_smooth=n_smooth if smooth else None,
         singular_irreducible_indices=tuple(singular_irr) if smooth else None,
         part=part,
-        seconds=time.perf_counter() - t0,
     )
 
 
@@ -341,7 +337,6 @@ def merge_reports(reports):
             tuple(i for r in rs for i in r.singular_irreducible_indices) if smooth else None
         ),
         part=None,
-        seconds=sum(r.seconds for r in rs),
     )
 
 

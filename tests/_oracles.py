@@ -171,7 +171,7 @@ def sylvester_resultant(A, B, var="y"):
     K = A.field
 
     def coeff_lists(F):
-        seq = list(F.y_coeffs() if var == "y" else F.x_coeffs())
+        seq = list(F.y_coeffs() if var == "y" else F.transpose().y_coeffs())
         while seq and seq[-1].is_zero():
             seq.pop()
         return seq

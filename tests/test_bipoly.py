@@ -15,6 +15,7 @@ from bifill.bipoly import (
 )
 from bifill.errors import (
     BadCoefficient,
+    BadShape,
     MixedBidegree,
     ParseError,
     ZeroDivisor,
@@ -45,6 +46,17 @@ def test_canonical_text_examples(gf2, gf3, gf4):
     assert parse_bipoly("X0^3*X1 + 2*X0*X1^3", gf3).text() == "X0^3*X1 + 2*X0*X1^3"
     F = parse_bipoly("[0,1]*X0*Y0 + [1,1]*X1*Y1", gf4)
     assert F.text() == "[0,1]*X0*Y0 + [1,1]*X1*Y1"
+    # chart polynomials print through the same term printer
+    P = parse_bipoly(
+        "X0*X1^2*Y0^2*Y1 + 2*X1^3*Y1^3 + X0^3*Y0^3 + 2*X0^2*X1*Y0*Y1^2", gf3
+    ).dehomogenize("X0Y0")
+    assert P.text() == "1 + 2*x*y^2 + x^2*y + 2*x^3*y^3"
+    Q = parse_bipoly(
+        "[0,1]*X0^2*Y0^2 + X0*X1*Y0*Y1 + [1,1]*X1^2*Y0*Y1 + [0,1]*X1^2*Y1^2 + X0^2*Y1^2",
+        gf4,
+    ).dehomogenize("X1Y0")
+    assert Q.text() == "[1,1]*y + [0,1]*y^2 + x*y + [0,1]*x^2 + x^2*y^2"
+    assert AffinePoly.zero(gf4).text() == "0"
 
 
 def test_text_omits_units_and_one_exponents(gf3):
@@ -295,9 +307,19 @@ def test_affine_divmod_uni(gf3):
     recon = quo * AffinePoly.from_y_coeffs(gf3, [m]) + rem
     assert recon == P
     assert rem.deg_x < 2
+    quo, rem = P.divmod_uni(m, "y")
+    recon = quo * AffinePoly(gf3, [m.coeffs]) + rem
+    assert recon == P
+    assert not quo.is_zero() and rem.deg_y < 2
 
 
 def test_as_unipoly_requires_flat_shape(gf3):
     P = parse_bipoly("X0*X1 + X1^2", gf3).dehomogenize("X0Y0")
     u = P.as_unipoly("x")
     assert list(u.coeffs) == [0, 1, 1]
+    Q = parse_bipoly("X0*Y0*Y1 + 2*X0*Y1^2", gf3).dehomogenize("X0Y0")
+    assert list(Q.as_unipoly("y").coeffs) == [0, 1, 2]
+    with pytest.raises(BadShape, match="still involves x"):
+        P.as_unipoly("y")
+    with pytest.raises(BadShape, match="still involves y"):
+        Q.as_unipoly("x")

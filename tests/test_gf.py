@@ -13,6 +13,7 @@ from bifill.gf import (
     embedding_map,
     enumerate_field,
     extension_field,
+    field_for,
     field_make,
     parse_field_spec,
     unipoly_factor,
@@ -42,6 +43,29 @@ def test_tower_modulus_frozen(gf9):
     assert T.base is gf9
     assert T.modulus == (1, 4, 1)
     assert T.order == 81
+
+
+# the first five powers of each field's generator pin both the generator
+# choice and the table arithmetic; the last six fields are towers over GF(q)
+GENERATOR_POWERS = [
+    (1024, 1, [1, 2, 4, 8, 16]),
+    (729, 1, [1, 4, 16, 28, 112]),
+    (625, 1, [1, 30, 129, 615, 606]),
+    (16, 3, [1, 18, 260, 841, 280]),
+    (9, 3, [1, 12, 137, 89, 402]),
+    (8, 3, [1, 9, 65, 136, 330]),
+    (4, 3, [1, 6, 19, 60, 23]),
+    (9, 2, [1, 10, 63, 77, 69]),
+    (16, 2, [1, 20, 56, 24, 250]),
+]
+
+
+@pytest.mark.parametrize("q,m,powers", GENERATOR_POWERS)
+def test_generator_powers_frozen(q, m, powers):
+    K = extension_field(field_for(q), m)
+    assert (K.base is not None) == (m > 1)
+    assert [K.pow_(K.generator, k) for k in range(5)] == powers
+    assert sorted(K._exp[: K.order - 1]) == list(range(1, K.order))
 
 
 def test_extension_degree_one_is_identity(gf3):
