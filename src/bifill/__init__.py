@@ -77,12 +77,9 @@ from .geom import (
 )
 from .gf import (
     Field,
-    FieldElement,
     UniPoly,
     embedding_map,
-    enumerate_field,
     extension_field,
-    field_make,
     parse_field_spec,
     unipoly_factor,
     unipoly_gcd,

@@ -121,7 +121,7 @@ def singular_points(F, m_max=1):
     system = jacobian_system(F)
     out = set()
     for m in range(1, m_max + 1):
-        L = extension_field(K, m)
+        L = enumerable_extension(K, m)
         for pair in common_zeros(system, m):
             if _min_subfield_degree(L, K.order, m, pair) == m:
                 out.add((pair, m))
@@ -185,7 +185,7 @@ def _root_in_splitting_field(K, mpoly):
     roots = unipoly_roots(mpoly.map_field(E), E)
     if not roots:
         raise AssertionError("irreducible factor has no root in its splitting field")
-    return E, min(r.i for r in roots)
+    return E, min(roots)
 
 
 def _substitute(members, K, E, xbar):
@@ -352,7 +352,7 @@ def witness_point(F, cert):
     E, xbar = _root_in_splitting_field(K, w.modulus)
     roots = unipoly_roots(w.common, E)
     if roots:
-        L, x0, y0 = E, xbar, min(r.i for r in roots)
+        L, x0, y0 = E, xbar, min(roots)
     else:
         factors = unipoly_factor(w.common)
         k = min(f.degree for f, _ in factors)
@@ -364,7 +364,7 @@ def witness_point(F, cert):
         L = extension_field(E, k)
         emap = embedding_map(E, L)
         x0 = emap[xbar]
-        y0 = min(r.i for r in unipoly_roots(mf.map_field(L, emap), L))
+        y0 = min(unipoly_roots(mf.map_field(L, emap), L))
     if L.order > WITNESS_ORDER_CAP:
         return None
     if w.orientation == "x":

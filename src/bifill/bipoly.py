@@ -31,7 +31,7 @@ from .errors import (
     ZeroDivisor,
     ZeroPolynomial,
 )
-from .gf import FieldElement, UniPoly, embedding_map, extension_field
+from .gf import UniPoly, embedding_map, extension_field
 
 __all__ = [
     "BiPoly",
@@ -79,7 +79,7 @@ class BiPoly:
     def monomial(cls, field, a, b, i, j, c=1):
         """c * X0^(a-i) X1^i Y0^(b-j) Y1^j inside bi-degree (a,b)."""
         rows = [[0] * (b + 1) for _ in range(a + 1)]
-        rows[i][j] = c.i if isinstance(c, FieldElement) else c
+        rows[i][j] = c
         return cls(field, a, b, rows)
 
     @property
@@ -125,7 +125,6 @@ class BiPoly:
         return BiPoly._raw(F, self.a, self.b, rows)
 
     def scale(self, c):
-        c = c.i if isinstance(c, FieldElement) else c
         F = self.field
         rows = tuple(tuple(F.mul(x, c) for x in r) for r in self.rows)
         return BiPoly._raw(F, self.a, self.b, rows)
@@ -309,21 +308,15 @@ def _chart_rows(rows, a, b, chart):
 
 
 def eval_bipoly(F, point):
-    """Evaluate at a PointPair or a raw 4-tuple of coordinates.
+    """Evaluate at a PointPair or a raw 4-tuple of coordinate indices.
 
-    Coordinates from a declared extension of the owner lift F before
-    evaluating; the result is a FieldElement of the coordinate field.
+    A PointPair over a declared extension of the owner lifts F to the pair's
+    field; a raw tuple is read over F.field. The result is an element index
+    of that field.
     """
     if hasattr(point, "first"):
-        coord_field = point.field
-        coords = (point.first.u0, point.first.u1, point.second.u0, point.second.u1)
-    else:
-        x0, x1, y0, y1 = point
-        coord_field = x0.field if isinstance(x0, FieldElement) else F.field
-        coords = (x0, x1, y0, y1)
-    idx = [c.i if isinstance(c, FieldElement) else c for c in coords]
-    G = F.map_field(coord_field)
-    return FieldElement(coord_field, G.eval(*idx))
+        return F.map_field(point.field).eval(*point.coords())
+    return F.eval(*point)
 
 
 class AffinePoly:
@@ -399,14 +392,11 @@ class AffinePoly:
         return AffinePoly(self.field, _transpose_rows(self.rows))
 
     def scale(self, c):
-        c = c.i if isinstance(c, FieldElement) else c
         F = self.field
         return AffinePoly(F, [[F.mul(x, c) for x in r] for r in self.rows])
 
     def eval_at(self, x, y):
         F = self.field
-        x = x.i if isinstance(x, FieldElement) else x
-        y = y.i if isinstance(y, FieldElement) else y
         return binary_eval(F, _restrict_rows(F, self.rows, 1, x), 1, y)
 
     def y_coeffs(self):

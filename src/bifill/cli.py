@@ -35,7 +35,7 @@ from .errors import (
 from .families import construct
 from .filling import decompose, is_filling
 from .geom import count_points
-from .gf import enumerate_field, field_for, parse_field_spec
+from .gf import field_for, parse_field_spec
 from .search import census, min_bidegree_scan
 
 _USAGE_EXIT = 2
@@ -281,7 +281,7 @@ def cmd_field_info(args):
     doc = {
         "command": "field-info",
         "field": K.describe(),
-        "elements": [K.text_of(x.i) for x in enumerate_field(K)],
+        "elements": [K.text_of(x) for x in range(K.order)],
     }
     mod = ",".join(str(c) for c in K.modulus)
     human = (

@@ -28,15 +28,15 @@ from .analysis import validate_setup
 from .bipoly import BiPoly, parse_bipoly
 from .errors import FieldMismatch, SetupViolation, UnsupportedQ
 from .filling import frobenius_forms
-from .gf import FieldElement, enumerate_field, field_for
+from .gf import field_for
 
 
 @dataclass(frozen=True)
 class FamilyParams:
     q: int
     variant: str  # "odd" | "even" | "q3" | "q2"
-    delta: Optional[FieldElement] = None
-    gamma: Optional[FieldElement] = None
+    delta: Optional[int] = None  # element indices of GF(q)
+    gamma: Optional[int] = None
 
 
 def pick_params(q):
@@ -46,13 +46,14 @@ def pick_params(q):
     if q in (2, 3):
         raise UnsupportedQ(f"q={q} uses a dedicated construction, not the generic family")
     K = field_for(q)
+    elements = range(K.order)
     if K.p == 2:
-        image = {u + u * u for u in enumerate_field(K)}
-        pool = [c for c in enumerate_field(K) if c not in image]
+        image = {K.add(u, K.mul(u, u)) for u in elements}
+        pool = [c for c in elements if c not in image]
         variant = "even"
     else:
-        squares = {u * u for u in enumerate_field(K)}
-        pool = [c for c in enumerate_field(K) if -c not in squares]
+        squares = {K.mul(u, u) for u in elements}
+        pool = [c for c in elements if K.neg(c) not in squares]
         variant = "odd"
     # |pool| = q/2 (even) or (q-1)/2 (odd), both >= 2 once q >= 4
     return FamilyParams(q=q, variant=variant, delta=pool[0], gamma=pool[1])

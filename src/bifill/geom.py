@@ -12,7 +12,7 @@ import itertools
 
 from .bipoly import BiPoly, binary_eval
 from .errors import BadParameters, FieldMismatch, Infeasible, ZeroPolynomial
-from .gf import FieldElement, extension_field
+from .gf import extension_field
 
 __all__ = [
     "ProjPoint",
@@ -26,17 +26,12 @@ __all__ = [
 ]
 
 
-def _idx(x):
-    return x.i if isinstance(x, FieldElement) else x
-
-
 class ProjPoint:
     """A point of P1, normalized to (1:t) or (0:1)."""
 
     __slots__ = ("field", "u0", "u1")
 
     def __init__(self, field, u0, u1):
-        u0, u1 = _idx(u0), _idx(u1)
         if u0 == 0 and u1 == 0:
             raise BadParameters("(0:0) is not a projective point")
         if u0 != 0:
@@ -45,8 +40,8 @@ class ProjPoint:
         else:
             u1 = 1
         self.field = field
-        self.u0 = FieldElement(field, u0)
-        self.u1 = FieldElement(field, u1)
+        self.u0 = u0
+        self.u1 = u1
 
     @classmethod
     def affine(cls, field, t):
@@ -57,25 +52,25 @@ class ProjPoint:
         return cls(field, 0, 1)
 
     def is_infinity(self):
-        return self.u0.i == 0
+        return self.u0 == 0
 
     def coords(self):
-        return (self.u0.i, self.u1.i)
+        return (self.u0, self.u1)
 
     def text(self):
         F = self.field
-        return f"({F.text_of(self.u0.i)}:{F.text_of(self.u1.i)})"
+        return f"({F.text_of(self.u0)}:{F.text_of(self.u1)})"
 
     def __eq__(self, other):
         return (
             isinstance(other, ProjPoint)
             and self.field is other.field
-            and self.u0.i == other.u0.i
-            and self.u1.i == other.u1.i
+            and self.u0 == other.u0
+            and self.u1 == other.u1
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.u0.i, self.u1.i))
+        return hash((id(self.field), self.u0, self.u1))
 
     def __repr__(self):
         return self.text()
@@ -119,7 +114,7 @@ class P3Point:
     __slots__ = ("field", "t")
 
     def __init__(self, field, coords):
-        t = tuple(_idx(c) for c in coords)
+        t = tuple(coords)
         if len(t) != 4:
             raise BadParameters("P3 point needs 4 coordinates")
         lead = next((c for c in t if c != 0), None)
@@ -154,7 +149,7 @@ class P3Point:
 
 def enum_p1(field):
     """All |field|+1 points: (1:t) in element enumeration order, then (0:1)."""
-    pts = [ProjPoint.affine(field, t.i) for t in field.elements()]
+    pts = [ProjPoint.affine(field, t) for t in range(field.order)]
     pts.append(ProjPoint.infinity(field))
     return tuple(pts)
 
@@ -179,6 +174,17 @@ def projective_vectors(s, n, start=0):
         for tail in itertools.islice(tails, start, None):
             yield head + tail
         start = 0
+
+
+def projective_index(v, s):
+    """Number of v in projective_vectors(s, len(v)), the inverse of that
+    order; v has first nonzero coordinate 1."""
+    n = len(v)
+    lead = next(i for i, x in enumerate(v) if x)
+    offset = 0
+    for x in v[lead + 1:]:
+        offset = offset * s + x
+    return projective_count(s, n) - projective_count(s, n - lead) + offset
 
 
 def rational_pairs(field):
@@ -216,12 +222,12 @@ POINT_BUDGET = 10**8
 def enumerable_extension(field, m):
     """The degree-m extension of field, or Infeasible when its P1xP1 has
     more than POINT_BUDGET points."""
-    L = extension_field(field, m)
-    if (L.order + 1) ** 2 > POINT_BUDGET:
+    order = field.order**m
+    if (order + 1) ** 2 > POINT_BUDGET:
         raise Infeasible(
-            f"({L.order}+1)^2 points exceed the enumeration budget {POINT_BUDGET}"
+            f"({order}+1)^2 points exceed the enumeration budget {POINT_BUDGET}"
         )
-    return L
+    return extension_field(field, m)
 
 
 def count_points(F, m=1):

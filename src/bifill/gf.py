@@ -28,7 +28,9 @@ stores base-field indices as digits, so the base field embeds by identity.
 The canonical modulus of an extension is the lexicographically smallest
 monic irreducible over the base, comparing coefficient tuples constant
 digit first with base elements in index order. No lookup tables of moduli
-are shipped; the scan is deterministic and cheap at these sizes.
+are shipped; the scan is deterministic and cheap at these sizes, and it runs
+once per field: field_for, extension_field and field_with_modulus build each
+field once and hand back the same object afterwards.
 """
 
 from __future__ import annotations
@@ -48,15 +50,12 @@ from .errors import (
 
 __all__ = [
     "Field",
-    "FieldElement",
     "UniPoly",
-    "field_make",
     "field_with_modulus",
     "extension_field",
     "parse_field_spec",
     "prime_power",
     "field_for",
-    "enumerate_field",
     "embedding_map",
     "unipoly_gcd",
     "unipoly_is_irreducible",
@@ -85,7 +84,8 @@ _ADD_TABLE_MAX_ORDER = 256
 
 
 class Field:
-    """A finite field; construct through field_make or field_with_modulus.
+    """A finite field; construct through field_for, extension_field or
+    field_with_modulus.
 
     Instances are interned: equal parameters return the same object, so
     identity comparison is field equality. All arithmetic methods take and
@@ -104,7 +104,7 @@ class Field:
         if e == 1 and base is None:
             self._modpoly = None
         else:
-            self._modpoly = UniPoly(base if base is not None else field_make(p), modulus)
+            self._modpoly = UniPoly(base if base is not None else _prime_field(p), modulus)
         self._build_add()
         self._build_mul()
 
@@ -269,12 +269,6 @@ class Field:
             return 1 if k == 0 else 0
         return self._exp[(self._log[a] * k) % (self.order - 1)]
 
-    def element(self, i):
-        return FieldElement(self, i)
-
-    def elements(self):
-        return [FieldElement(self, i) for i in range(self.order)]
-
     # -- misc ----------------------------------------------------------------
 
     def describe(self):
@@ -297,123 +291,30 @@ class Field:
         return f"GF({self.order})"
 
 
-class FieldElement:
-    """Thin operator wrapper around (field, index); hot paths use raw indices."""
-
-    __slots__ = ("field", "i")
-
-    def __init__(self, field, i):
-        self.field = field
-        self.i = i
-
-    @property
-    def coeffs(self):
-        return self.field.coeffs_of(self.i)
-
-    def _peer(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-            return other.i
-        if isinstance(other, int):
-            return other % self.field.p  # integer literals act through 1
-        return NotImplemented
-
-    def __add__(self, other):
-        j = self._peer(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.i, j))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        j = self._peer(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.i, j))
-
-    def __rsub__(self, other):
-        j = self._peer(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(j, self.i))
-
-    def __mul__(self, other):
-        j = self._peer(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.i, j))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        j = self._peer(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.i, j))
-
-    def __rtruediv__(self, other):
-        j = self._peer(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(j, self.i))
-
-    def __pow__(self, k):
-        return FieldElement(self.field, self.field.pow_(self.i, k))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.i))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.i == other.i
-        if isinstance(other, int):
-            return self.i == other % self.field.p and self.i < self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.i))
-
-    def __bool__(self):
-        return self.i != 0
-
-    def __repr__(self):
-        return self.field.text_of(self.i)
-
-
-# -- field construction and interning ---------------------------------------
+# -- field construction ---------------------------------------------------------
+#
+# Every field is built once per process and kept in _FIELDS: a prime field
+# under p, the canonical degree-m extension of a field under (id(base), m), a
+# field with a non-canonical modulus under (p, modulus). So identity
+# comparison is field equality.
 
 _FIELDS = {}
 
 
-def _intern(p, e, modulus, base):
-    key = (p, e, modulus, id(base) if base is not None else None)
-    f = _FIELDS.get(key)
-    if f is None:
-        f = Field(p, e, modulus, base)
-        _FIELDS[key] = f
-    return f
+def _prime_field(p):
+    K = _FIELDS.get(p)
+    if K is None:
+        if prime_power(p) != (p, 1):
+            raise NotPrime(f"{p} is not prime")
+        K = _FIELDS[p] = Field(p, 1, (0, 1), None)
+    return K
 
 
-def field_make(p, e=1, base=None):
-    """GF(p^e), or a degree-e extension of an explicit base field, with the
-    canonical (lexicographically smallest) irreducible modulus."""
-    if prime_power(p) != (p, 1):
-        raise NotPrime(f"{p} is not prime")
-    if base is not None and base.p != p:
-        raise FieldMismatch("base field has a different characteristic")
-    if e < 1:
-        raise BadParameters("extension degree must be positive")
-    if base is None and e == 1:
-        return _intern(p, 1, (0, 1), None)
-    if base is not None and base.base is not None:
-        raise BadParameters("tower height is capped at two extension layers")
-    if base is not None and e == 1:
-        return base
-    scan_base = base if base is not None else field_make(p)
-    modulus = _canonical_modulus(scan_base, e)
-    return _intern(p, e, modulus, base)
+def _intern(p, modulus):
+    K = _FIELDS.get((p, modulus))
+    if K is None:
+        K = _FIELDS[(p, modulus)] = Field(p, len(modulus) - 1, modulus, None)
+    return K
 
 
 def _canonical_modulus(base, e):
@@ -427,8 +328,7 @@ def _canonical_modulus(base, e):
 def field_with_modulus(p, modulus):
     """GF(p^e) with an explicitly chosen monic irreducible modulus
     (constant-first coefficient list of length e+1)."""
-    if prime_power(p) != (p, 1):
-        raise NotPrime(f"{p} is not prime")
+    P = _prime_field(p)
     modulus = tuple(modulus)
     e = len(modulus) - 1
     if e < 1:
@@ -436,25 +336,32 @@ def field_with_modulus(p, modulus):
     if e == 1:
         if modulus != (0, 1):
             raise BadParameters("prime field modulus must be t")
-        return field_make(p)
+        return P
     if any(not 0 <= c < p for c in modulus):
         raise BadParameters("modulus coefficient out of range")
     if modulus[-1] != 1:
         raise BadParameters("modulus must be monic")
-    if not unipoly_is_irreducible(UniPoly(field_make(p), modulus)):
+    if not unipoly_is_irreducible(UniPoly(P, modulus)):
         raise BadParameters("modulus is reducible")
-    return _intern(p, e, modulus, None)
+    K = extension_field(P, e)
+    return K if K.modulus == modulus else _intern(p, modulus)
 
 
 def extension_field(field, m):
-    """The degree-m extension of a field, as high in the tower as allowed."""
+    """The degree-m extension of a field, as high in the tower as allowed,
+    with the canonical (lexicographically smallest) irreducible modulus."""
     if m == 1:
         return field
-    if field.e == 1 and field.base is None:
-        return field_make(field.p, m)
-    if field.base is None:
-        return field_make(field.p, m, base=field)
-    raise BadParameters("tower height is capped at two extension layers")
+    key = (id(field), m)
+    L = _FIELDS.get(key)
+    if L is None:
+        if m < 1:
+            raise BadParameters("extension degree must be positive")
+        if field.base is not None:
+            raise BadParameters("tower height is capped at two extension layers")
+        base = field if field.e > 1 else None
+        L = _FIELDS[key] = Field(field.p, m, _canonical_modulus(field, m), base)
+    return L
 
 
 _FIELD_SPEC_MOD = re.compile(r"mod=\[([0-9,\s]*)\]")
@@ -486,7 +393,7 @@ def parse_field_spec(text):
     if kv:
         raise BadParameters(f"unknown field spec keys {sorted(kv)}")
     if mod is None:
-        return field_make(p, e)
+        return extension_field(_prime_field(p), e)
     if len(mod) != e + 1:
         raise BadParameters("modulus length must be e+1")
     return field_with_modulus(p, mod)
@@ -511,13 +418,8 @@ def field_for(q):
     pe = prime_power(q)
     if pe is None:
         raise NotPrime(f"{q} is not a prime power")
-    return field_make(*pe)
-
-
-def enumerate_field(field):
-    """All elements exactly once, in index order (0, 1, ..., order-1); the
-    constant digit varies fastest, so GF(4) reads 0, 1, w, w+1."""
-    return field.elements()
+    p, e = pe
+    return extension_field(_prime_field(p), e)
 
 
 # -- embeddings ---------------------------------------------------------------
@@ -532,7 +434,7 @@ def _layers(field):
         f = f.base
         out.append(f)
     if out[-1].e > 1:
-        out.append(field_make(field.p))
+        out.append(_prime_field(field.p))
     return out
 
 
@@ -565,7 +467,7 @@ def _build_embedding(sub, sup):
     if target.base is not None or target.e % sub.e != 0:
         raise NotASubfield(f"{sub!r} does not embed in {sup!r}")
     modulus = UniPoly(target, sub.modulus)  # prime coeffs are target indices
-    roots = sorted(r.i for r in unipoly_roots(modulus, target))
+    roots = sorted(unipoly_roots(modulus, target))
     if not roots:
         raise NotASubfield(f"{sub!r} does not embed in {sup!r}")
     r = roots[0]
@@ -593,15 +495,10 @@ class UniPoly:
     def __init__(self, field, coeffs=()):
         cs = []
         for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.field is not field:
-                    raise FieldMismatch("coefficient from a different field")
-                cs.append(c.i)
-            else:
-                c = int(c)
-                if not 0 <= c < field.order:
-                    raise ValueError(f"coefficient index {c} out of range")
-                cs.append(c)
+            c = int(c)
+            if not 0 <= c < field.order:
+                raise ValueError(f"coefficient index {c} out of range")
+            cs.append(c)
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -674,7 +571,6 @@ class UniPoly:
         return UniPoly._raw(F, tuple(out))
 
     def scale(self, c):
-        c = c.i if isinstance(c, FieldElement) else c
         F = self.field
         if c == 0:
             return UniPoly._raw(F, ())
@@ -749,7 +645,6 @@ class UniPoly:
         return UniPoly._raw(F, tuple(out))
 
     def eval_at(self, x):
-        x = x.i if isinstance(x, FieldElement) else x
         F = self.field
         acc = 0
         for c in reversed(self.coeffs):
@@ -935,8 +830,9 @@ def _factor_monic(f, out, rng):
 
 
 def unipoly_roots(f, field):
-    """Zeros of f in the given field (the owner or an extension of it):
-    reduce to gcd(f, t^|field| - t), then split into linear factors."""
+    """Zeros of f in the given field (the owner or an extension of it), as a
+    set of element indices: reduce to gcd(f, t^|field| - t), then split into
+    linear factors."""
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has every root")
     if field is not f.field:
@@ -953,5 +849,5 @@ def unipoly_roots(f, field):
         for piece, _m in unipoly_factor(g):
             if piece.degree == 1:
                 # t + c0 = 0  ->  root is -c0
-                roots.add(FieldElement(F, F.neg(piece.coeffs[0])))
+                roots.add(F.neg(piece.coeffs[0]))
     return roots

@@ -33,7 +33,7 @@ from .analysis import certify_smooth, is_abs_irreducible
 from .bipoly import BiPoly, row_reduce
 from .errors import BadParameters, Infeasible
 from .filling import frobenius_forms, is_filling
-from .geom import projective_count, projective_vectors
+from .geom import projective_count, projective_index, projective_vectors
 from .gf import field_for
 
 
@@ -66,41 +66,6 @@ def filling_space_basis(q, a, b):
     if len(out) != nc - min(a + 1, q + 1) * min(b + 1, q + 1):
         raise AssertionError(f"filling space of ({a},{b}) has dimension {len(out)}")
     return out
-
-
-# -- projective candidate enumeration -----------------------------------------
-#
-# Candidate k of a dim-dimensional space is the k-th vector of
-# geom.projective_vectors(q, dim); the two functions below are the same
-# order as a random-access index map.
-
-def _candidate_vector(k, dim, q):
-    size = q ** (dim - 1)
-    L = 0
-    while k >= size:
-        k -= size
-        L += 1
-        size //= q
-    v = [0] * dim
-    v[L] = 1
-    for pos in range(dim - 1, L, -1):
-        v[pos] = k % q
-        k //= q
-    return v
-
-
-def _vector_index(v, q):
-    dim = len(v)
-    L = next(i for i, x in enumerate(v) if x)
-    idx = 0
-    size = q ** (dim - 1)
-    for _ in range(L):
-        idx += size
-        size //= q
-    o = 0
-    for pos in range(L + 1, dim):
-        o = o * q + v[pos]
-    return idx + o
 
 
 def _combine(vec, flat_basis, K):
@@ -137,7 +102,7 @@ def candidate_poly(basis, k):
     total = projective_count(K.order, len(basis))
     if not 0 <= k < total:
         raise BadParameters(f"candidate index {k} outside [0, {total})")
-    v = _candidate_vector(k, len(basis), K.order)
+    v = next(projective_vectors(K.order, len(basis), k))
     return _form(K, B0.a, B0.b, v, _flat(basis))
 
 
@@ -160,7 +125,7 @@ def candidate_index_of(F, basis):
     inv = K.inv(coords[lead])
     if inv != 1:
         coords = [K.mul(inv, c) for c in coords]
-    return _vector_index(coords, q)
+    return projective_index(coords, q)
 
 
 # -- census --------------------------------------------------------------------
@@ -177,6 +142,7 @@ class CensusReport:
     irreducible_indices: Tuple[int, ...]
     exemplars: Tuple[BiPoly, ...]
     basis: Tuple[BiPoly, ...]
+    exemplar_cap: int  # most exemplars kept; not part of the JSON
     n_smooth: Optional[int] = None
     singular_irreducible_indices: Optional[Tuple[int, ...]] = None
     part: Optional[Tuple[int, int]] = None
@@ -291,6 +257,7 @@ def census(q, a, b, smooth=False, exemplar_cap=8, part=None):
         irreducible_indices=tuple(irr_indices),
         exemplars=tuple(exemplars),
         basis=tuple(basis),
+        exemplar_cap=exemplar_cap,
         n_smooth=n_smooth if smooth else None,
         singular_irreducible_indices=tuple(singular_irr) if smooth else None,
         part=part,
@@ -311,15 +278,15 @@ def merge_reports(reports):
     if any(r.part is None or r.part[1] != n for r in rs) or keys != [(k, n) for k in range(n)]:
         raise BadParameters(f"slices {keys} do not cover the range exactly once")
     for r in rs[1:]:
-        if (r.q, r.bidegree, r.space_dimension, r.basis) != (
+        if (r.q, r.bidegree, r.space_dimension, r.basis, r.exemplar_cap) != (
             head.q,
             head.bidegree,
             head.space_dimension,
             head.basis,
+            head.exemplar_cap,
         ) or (r.n_smooth is None) != (head.n_smooth is None):
             raise BadParameters("slices come from different censuses")
-    cap = max(len(r.exemplars) for r in rs)
-    exemplars = [F for r in rs for F in r.exemplars][:cap]
+    exemplars = [F for r in rs for F in r.exemplars][: head.exemplar_cap]
     smooth = head.n_smooth is not None
     return CensusReport(
         q=head.q,
@@ -332,6 +299,7 @@ def merge_reports(reports):
         irreducible_indices=tuple(i for r in rs for i in r.irreducible_indices),
         exemplars=tuple(exemplars),
         basis=head.basis,
+        exemplar_cap=head.exemplar_cap,
         n_smooth=sum(r.n_smooth for r in rs) if smooth else None,
         singular_irreducible_indices=(
             tuple(i for r in rs for i in r.singular_irreducible_indices) if smooth else None

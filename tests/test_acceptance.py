@@ -75,7 +75,7 @@ def test_criterion_02_square_family():
             F = construct(q)
             K = F.field
             for pair in rational_pairs(K):
-                assert eval_bipoly(F, pair).i == 0
+                assert eval_bipoly(F, pair) == 0
             assert is_filling(F)
             assert certify_smooth(F).verdict == "Smooth"
             assert is_abs_irreducible(F).irreducible

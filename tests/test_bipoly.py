@@ -20,6 +20,7 @@ from bifill.errors import (
     ParseError,
     ZeroDivisor,
 )
+from bifill.geom import PointPair, ProjPoint
 from bifill.gf import UniPoly, extension_field, parse_field_spec
 
 
@@ -204,9 +205,9 @@ def test_eval_matches_the_power_table_oracle(case):
 def test_eval_bipoly_accepts_tuples_and_lifts(gf2):
     F = parse_bipoly("X0*Y0 + X1*Y1", gf2)
     E = extension_field(gf2, 2)
-    v = eval_bipoly(F, (E.element(2), E.element(1), E.element(1), E.element(3)))
-    assert v.field is E
-    assert v == E.element(2) + E.element(3)
+    assert eval_bipoly(F, (1, 1, 0, 1)) == 1
+    pair = PointPair(ProjPoint(E, 1, 2), ProjPoint(E, 1, 3))
+    assert eval_bipoly(F, pair) == E.add(1, E.mul(2, 3))
 
 
 # -- divisibility ------------------------------------------------------------------

@@ -190,6 +190,11 @@ def test_field_info_by_spec(capsys):
 
 # SHA-256 of each command's --json stdout. The output is a fixed point: any
 # change to a verdict, a count, an index or the formatting changes a digest.
+CONSTRUCT_Q4 = (
+    "X0^5*Y0^4*Y1 + X0^5*Y0*Y1^4 + X0^4*X1*Y0^5 + X0^4*X1*Y0*Y1^4"
+    " + [0,1]*X0^4*X1*Y1^5 + X0*X1^4*Y0^5 + X0*X1^4*Y0^4*Y1"
+    " + [0,1]*X0*X1^4*Y1^5 + [1,1]*X1^5*Y0^4*Y1 + [1,1]*X1^5*Y0*Y1^4"
+)
 PINNED_JSON = {
     "census-q2-43": (
         ("census", "--q", "2", "--bidegree", "4,3", "--smooth"),
@@ -218,6 +223,18 @@ PINNED_JSON = {
     "verify-T42": (
         ("verify", "--q", "2", "--poly", T42),
         "1c0d5f99a3ab41f7c347bd97d25e58d3c0299a507d0f210c55f0338b37ac5a47"),
+    "field-info-q9": (
+        ("field-info", "--q", "9"),
+        "1802bd761b67757b5f9f9548ef5c2cf5cc13d5e3b00532ade2d8e725d9acb722"),
+    "field-info-p3e2-noncanonical": (
+        ("field-info", "--field", "p=3,e=2,mod=[2,1,1]"),
+        "7eacfacc630286e23f0e5866fc949a5601615750553defe0a8d264769a9afe3f"),
+    "construct-q9": (
+        ("construct", "--q", "9"),
+        "7886f7b1972e87db8564f84c6b59b63850761de1e699c1d397e8e1ee84d0563f"),
+    "count-construct4-ext2": (
+        ("count", "--q", "4", "--poly", CONSTRUCT_Q4, "--ext", "2"),
+        "2c3e777480557759953b6ce0b506f9caa5ad8801ea9657994490c0416b99ad6e"),
 }
 
 

@@ -1,8 +1,8 @@
 import pytest
 
 from _oracles import brute_point_count
-from bifill import geom
-from bifill.analysis import common_zeros
+from bifill import geom, gf
+from bifill.analysis import common_zeros, singular_points
 from bifill.bipoly import BiPoly, parse_bipoly
 from bifill.errors import BadParameters, FieldMismatch, Infeasible, ZeroPolynomial
 from bifill.families import construct
@@ -150,6 +150,24 @@ def test_point_budget_makes_enumeration_infeasible(monkeypatch, gf2):
         count_points(F)
     with pytest.raises(Infeasible):
         common_zeros([F])
+
+
+def test_point_budget_is_checked_before_any_field_is_built(monkeypatch):
+    F = construct(2)
+    G = parse_bipoly("X0*Y0 + X1*Y1", field(101))
+    built = []
+    init = gf.Field.__init__
+
+    def counting_init(self, *args):
+        built.append(args[:2])
+        init(self, *args)
+
+    monkeypatch.setattr(gf.Field, "__init__", counting_init)
+    with pytest.raises(Infeasible, match=r"\(16384\+1\)\^2 points exceed"):
+        count_points(F, 14)
+    with pytest.raises(Infeasible, match=r"\(10201\+1\)\^2 points exceed"):
+        singular_points(G, 2)
+    assert built == []
 
 
 def test_pointpair_field_mismatch_rejected(gf2, gf3):

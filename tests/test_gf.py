@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bifill import gf
 from bifill.errors import (
     BadParameters,
     DivisionByZero,
@@ -11,10 +12,9 @@ from bifill.errors import (
 from bifill.gf import (
     UniPoly,
     embedding_map,
-    enumerate_field,
     extension_field,
     field_for,
-    field_make,
+    field_with_modulus,
     parse_field_spec,
     unipoly_factor,
     unipoly_gcd,
@@ -72,6 +72,22 @@ def test_extension_degree_one_is_identity(gf3):
     assert extension_field(gf3, 1) is gf3
 
 
+def test_each_field_is_built_once(monkeypatch, gf9):
+    # identity is field equality, so a spelled-out canonical modulus must
+    # give back the field_for object
+    assert parse_field_spec("p=3,e=2,mod=[1,0,1]") is gf9
+    other = field_with_modulus(3, [2, 1, 1])
+    assert other is not gf9
+    assert field_with_modulus(3, [2, 1, 1]) is other
+    tower = extension_field(gf9, 2)
+    scans = []
+    monkeypatch.setattr(gf, "_canonical_modulus", lambda *args: scans.append(args))
+    assert extension_field(gf9, 2) is tower
+    assert field_for(9) is gf9
+    assert parse_field_spec("p=3,e=2") is gf9
+    assert scans == []
+
+
 def test_parse_field_spec_forms(gf9):
     assert parse_field_spec("p=3,e=2,mod=[1,0,1]").describe() == gf9.describe()
     assert parse_field_spec("q=9").order == 9
@@ -86,7 +102,7 @@ def test_parse_field_spec_forms(gf9):
 
 
 def test_enumeration_counting_order(gf4):
-    texts = [gf4.text_of(x.i) for x in enumerate_field(gf4)]
+    texts = [gf4.text_of(x) for x in range(gf4.order)]
     assert texts == ["[0,0]", "[1,0]", "[0,1]", "[1,1]"]
 
 
@@ -98,34 +114,38 @@ def test_enumeration_counting_order(gf4):
 )
 def test_field_axioms(q, data):
     K = field(q)
-    a, b, c = (K.element(i % K.order) for i in data)
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a + b == b + a
-    assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
-    assert a + K.element(0) == a
-    assert a * K.element(1) == a
-    assert a - a == K.element(0)
-    if a != K.element(0):
-        assert a * (K.element(1) / a) == K.element(1)
+    a, b, c = (i % K.order for i in data)
+    add, mul = K.add, K.mul
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert add(a, b) == add(b, a)
+    assert mul(a, b) == mul(b, a)
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, 0) == a
+    assert mul(a, 1) == a
+    assert K.sub(a, a) == 0
+    assert K.sub(add(a, b), b) == a
+    if a != 0:
+        assert mul(a, K.div(1, a)) == 1
+        assert K.div(mul(a, b), a) == b
+        assert K.pow_(a, K.order - 1) == 1
 
 
 @given(q=st.sampled_from(ORDERS), i=st.integers(0, 8))
 def test_characteristic(q, i):
     K = field(q)
-    a = K.element(i % K.order)
-    acc = K.element(0)
+    a = i % K.order
+    acc = 0
     for _ in range(K.p):
-        acc = acc + a
-    assert acc == K.element(0)
+        acc = K.add(acc, a)
+    assert acc == 0
 
 
 def test_division_by_zero_is_both_types(gf5):
     with pytest.raises(DivisionByZero):
-        gf5.element(1) / gf5.element(0)
+        gf5.div(1, 0)
     with pytest.raises(ZeroDivisionError):
-        gf5.element(1) / gf5.element(0)
+        gf5.div(1, 0)
 
 
 # -- Frobenius and embeddings --------------------------------------------------
@@ -134,7 +154,7 @@ def test_division_by_zero_is_both_types(gf5):
 def test_frobenius_fixed_subfield_count(q, m):
     K = field(q)
     E = extension_field(K, m)
-    fixed = [x for x in enumerate_field(E) if x**q == x]
+    fixed = [x for x in range(E.order) if E.pow_(x, q) == x]
     assert len(fixed) == q
 
 
@@ -143,10 +163,10 @@ def test_embedding_is_a_homomorphism(q, m):
     K = field(q)
     E = extension_field(K, m)
     emap = embedding_map(K, E)
-    for a in enumerate_field(K):
-        for b in enumerate_field(K):
-            assert emap[(a + b).i] == E.add(emap[a.i], emap[b.i])
-            assert emap[(a * b).i] == E.mul(emap[a.i], emap[b.i])
+    for a in range(K.order):
+        for b in range(K.order):
+            assert emap[K.add(a, b)] == E.add(emap[a], emap[b])
+            assert emap[K.mul(a, b)] == E.mul(emap[a], emap[b])
 
 
 def test_embedding_requires_subfield(gf4, gf9):
@@ -246,9 +266,9 @@ def test_irreducibility_vs_trial_division(q, max_deg):
 def test_roots_oracle(gf5):
     f = upoly(gf5, 1, 1) * upoly(gf5, 3, 1)  # (x+1)(x+3): roots -1=4, -3=2
     roots = unipoly_roots(f, gf5)
-    assert {r.i for r in roots} == {4, 2}
+    assert roots == {4, 2}
     for r in roots:
-        assert f.eval_at(r.i) == 0
+        assert f.eval_at(r) == 0
 
 
 @given(f=unipolys())
@@ -258,7 +278,7 @@ def test_roots_all_evaluate_to_zero(f):
     roots = unipoly_roots(f, f.field)
     assert len(roots) <= max(f.degree, 0)
     for r in roots:
-        assert f.eval_at(r.i) == 0
+        assert f.eval_at(r) == 0
 
 
 def test_powmod_matches_repeated_multiplication(gf3):
@@ -270,6 +290,6 @@ def test_powmod_matches_repeated_multiplication(gf3):
     assert f.powmod(7, m) == direct
 
 
-def test_field_make_rejects_composite_characteristic():
+def test_field_for_rejects_composite_order():
     with pytest.raises(NotPrime):
-        field_make(6)
+        field_for(6)

@@ -176,7 +176,7 @@ def test_census_243_golden(gf2):
 
 def test_census_parts_merge_to_the_full_report(gf2):
     full = census(2, 4, 3)
-    for n in (2, 4):
+    for n in (2, 4, 64):
         merged = merge_reports([census(2, 4, 3, part=(k, n)) for k in range(n)])
         assert merged.to_json() == full.to_json()
 
@@ -190,6 +190,12 @@ def test_merge_rejects_gaps(gf2):
 def test_merge_rejects_mixed_censuses(gf2):
     with pytest.raises(BadParameters):
         merge_reports([census(2, 3, 3, part=(0, 2)), census(2, 4, 3, part=(1, 2))])
+
+
+def test_merge_rejects_mixed_exemplar_caps(gf2):
+    parts = [census(2, 3, 3, exemplar_cap=cap, part=(k, 2)) for k, cap in ((0, 8), (1, 4))]
+    with pytest.raises(BadParameters):
+        merge_reports(parts)
 
 
 def test_census_part_validation(gf2):

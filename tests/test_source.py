@@ -44,3 +44,14 @@ def test_every_traced_name_resolves():
         if not callable(held):
             missing.append(f"{modname}.{attr}")
     assert missing == []
+
+
+def test_every_exported_name_is_defined():
+    # a stale __all__ entry only fails at "from bifill.x import *" time
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"bifill.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            if name not in vars(module):
+                missing.append(f"{path.stem}.{name}")
+    assert missing == []
