@@ -552,34 +552,94 @@ def _nonvanishing_points(F):
 FACTOR_SEARCH_BUDGET = 1 << 22
 
 
+class FactorScan:
+    """find_factor's divisor search, resumable.
+
+    The divisor cells are walked in ascending total degree, then
+    lexicographic cell order. The constructor checks FACTOR_SEARCH_BUDGET
+    before any divisor is tried and raises Infeasible when the cells
+    exceed it; each search call resumes after the last cell tested, and
+    every call shares one set of probe points."""
+
+    def __init__(self, F):
+        a, b = F.a, F.b
+        self.F = F
+        self.cells = sorted(
+            (
+                (a2, b2)
+                for a2 in range(a + 1)
+                for b2 in range(b + 1)
+                if 0 < a2 + b2 <= (a + b) // 2
+            ),
+            key=lambda cell: (cell[0] + cell[1], cell),
+        )
+        q = F.field.order
+        total = sum(projective_count(q, (a2 + 1) * (b2 + 1)) for a2, b2 in self.cells)
+        if total > FACTOR_SEARCH_BUDGET:
+            raise Infeasible(
+                f"{total} division candidates exceed the budget {FACTOR_SEARCH_BUDGET}"
+            )
+        self._tested = 0
+        self._probes = None
+
+    def search(self, max_degree=None):
+        """Least proper GF(q)-factor of F in the untested cells of total
+        degree at most max_degree (every untested cell when None), or None."""
+        F = self.F
+        K = F.field
+        while self._tested < len(self.cells):
+            a2, b2 = self.cells[self._tested]
+            if max_degree is not None and a2 + b2 > max_degree:
+                return None
+            if self._probes is None:
+                self._probes = _nonvanishing_points(F)
+            L, probes = self._probes
+            self._tested += 1
+            for G in _proj_forms(K, a2, b2):
+                GL = G.map_field(L)
+                if any(GL.eval(*pt) == 0 for pt in probes):
+                    continue
+                if divides(G, F) is not None:
+                    return G
+        return None
+
+
 def find_factor(F):
     """Least proper GF(q)-factor of F in the fixed scan order (ascending
     total degree, then lexicographic cell order), or None."""
-    K = F.field
+    return FactorScan(F).search()
+
+
+def _norm_degrees(a, b):
+    g = int_gcd(a, b)
+    return [k for k in range(2, g + 1) if g % k == 0]
+
+
+def norm_search_fits(F):
+    """Whether every conjugate-norm cell of F's bi-degree (a,b), one for
+    each k >= 2 dividing gcd(a,b), is within FACTOR_SEARCH_BUDGET."""
     a, b = F.a, F.b
-    cells = sorted(
-        (
-            (a2, b2)
-            for a2 in range(a + 1)
-            for b2 in range(b + 1)
-            if 0 < a2 + b2 <= (a + b) // 2
-        ),
-        key=lambda cell: (cell[0] + cell[1], cell),
+    return all(
+        projective_count(F.field.order**k, (a // k + 1) * (b // k + 1))
+        <= FACTOR_SEARCH_BUDGET
+        for k in _norm_degrees(a, b)
     )
-    total = sum(projective_count(K.order, (a2 + 1) * (b2 + 1)) for a2, b2 in cells)
-    if total > FACTOR_SEARCH_BUDGET:
-        raise Infeasible(
-            f"{total} division candidates exceed the budget {FACTOR_SEARCH_BUDGET}"
-        )
-    L, probes = _nonvanishing_points(F)
-    for a2, b2 in cells:
-        for G in _proj_forms(K, a2, b2):
-            GL = G.map_field(L)
-            if any(GL.eval(*pt) == 0 for pt in probes):
-                continue
-            if divides(G, F) is not None:
-                return G
-    return None
+
+
+def is_conjugate_norm(F):
+    """Whether F is, up to scalar, a norm G * G^s * ... over GF(q^k) for
+    some k >= 2 dividing gcd(a,b). A GF(q)-irreducible F is reducible over
+    the closure exactly when this holds."""
+    canon = _canonical_scale(F).rows
+    return any(
+        canon in conjugate_norms(F.field, F.a, F.b, k) for k in _norm_degrees(F.a, F.b)
+    )
+
+
+def smooth_proves_irreducible(F):
+    """Route A: whether F has both bi-degree entries positive and is
+    certified Smooth, which makes it irreducible over the closure."""
+    return F.a >= 1 and F.b >= 1 and certify_smooth(F).verdict == "Smooth"
 
 
 def is_abs_irreducible(F, method="auto"):
@@ -591,24 +651,15 @@ def is_abs_irreducible(F, method="auto"):
     """
     if F.is_zero():
         raise ZeroPolynomial("the zero polynomial is not a curve")
-    a, b = F.a, F.b
     if method not in ("auto", "A", "B"):
         raise BadParameters(f"unknown method {method!r}")
     if method in ("auto", "A"):
-        if a >= 1 and b >= 1 and certify_smooth(F).verdict == "Smooth":
+        if smooth_proves_irreducible(F):
             return IrreducibilityResult(True, "A")
         if method == "A":
             raise Infeasible("smoothness shortcut cannot decide this form")
-    K = F.field
     if find_factor(F) is not None:
         return IrreducibilityResult(False, "B")
-    ks = [k for k in range(2, int_gcd(a, b) + 1) if int_gcd(a, b) % k == 0]
-    for k in ks:
-        n = (a // k + 1) * (b // k + 1)
-        if projective_count(K.order**k, n) > FACTOR_SEARCH_BUDGET:
-            raise Infeasible("conjugate search exceeds the budget")
-    canon = _canonical_scale(F).rows
-    for k in ks:
-        if canon in conjugate_norms(K, a, b, k):
-            return IrreducibilityResult(False, "B")
-    return IrreducibilityResult(True, "B")
+    if not norm_search_fits(F):
+        raise Infeasible("conjugate search exceeds the budget")
+    return IrreducibilityResult(not is_conjugate_norm(F), "B")

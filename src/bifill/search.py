@@ -14,11 +14,16 @@ basis is row-reduced from those multiples directly.
 
 census walks the nonzero kernel vectors up to scalar (first nonzero
 coordinate normalized to 1, remaining coordinates in counting order) and
-classifies each form.  The factor search and conjugate-norm membership of
-is_abs_irreducible decide both directions exactly; when their enumeration
-budget is blown the smoothness shortcut can still prove irreducible, and
-whatever remains lands in an explicit unknown bucket instead of a guessed
-verdict.  min_bidegree_scan applies this cell by cell over a rectangle of
+classifies each form in stages, cheapest first.  Both deciders of
+analysis are sound, so the order never changes a verdict, only its cost:
+the factor search (method B) first tries the divisor cells of total degree
+at most 2.  When B could not prove the form irreducible anyway, because a
+conjugate-norm cell of the bi-degree is over budget, the smoothness
+certificate (method A) runs next, before the expensive cells.  Then the
+factor search resumes, and the conjugate-norm membership test finishes B
+when it fits its budget.  Whatever neither method decides lands in an
+explicit unknown bucket instead of a guessed verdict.
+min_bidegree_scan applies this cell by cell over a rectangle of
 bi-degrees, skipping cells with a <= q or b <= q, which carry no
 absolutely irreducible filling form at all (the obstruction behind
 min_bidegree_check: too few rows to meet every vertical fiber).
@@ -29,7 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .analysis import certify_smooth, is_abs_irreducible
+from .analysis import (
+    FactorScan,
+    certify_smooth,
+    is_conjugate_norm,
+    norm_search_fits,
+    smooth_proves_irreducible,
+)
 from .bipoly import BiPoly, row_reduce
 from .errors import BadParameters, Infeasible
 from .filling import frobenius_forms, is_filling
@@ -170,17 +181,36 @@ class CensusReport:
 
 
 def _classify(F):
-    """'irreducible', 'reducible' or 'unknown'."""
+    """(verdict, smooth): verdict is 'irreducible', 'reducible' or
+    'unknown'; smooth is True when the verdict rests on a Smooth
+    certificate of F.
+
+    Stages, cheapest first, each reached only when the ones before it
+    decided nothing:
+    1. when the divisor cells exceed FACTOR_SEARCH_BUDGET, method A alone;
+    2. the divisor cells of total degree at most 2;
+    3. method A, only when a conjugate-norm cell is over budget, so that
+       method B could not prove F irreducible anyway;
+    4. the remaining divisor cells;
+    5. the conjugate-norm check when it fits, which decides;
+    6. otherwise unknown, method A having run at stage 3.
+    When the norm cells fit, as they always do for coprime bi-degrees,
+    this is method B alone, in its own order."""
     try:
-        res = is_abs_irreducible(F, method="B")
-        return "irreducible" if res.irreducible else "reducible"
+        scan = FactorScan(F)
     except Infeasible:
-        pass
-    try:
-        is_abs_irreducible(F, method="A")
-        return "irreducible"
-    except Infeasible:
-        return "unknown"
+        return ("irreducible", True) if smooth_proves_irreducible(F) else ("unknown", False)
+    if scan.search(max_degree=2) is not None:
+        return "reducible", False
+    if norm_search_fits(F):
+        if scan.search() is not None or is_conjugate_norm(F):
+            return "reducible", False
+        return "irreducible", False
+    if smooth_proves_irreducible(F):
+        return "irreducible", True
+    if scan.search() is not None:
+        return "reducible", False
+    return "unknown", False
 
 
 # Most candidates one census or scan cell may classify.
@@ -198,15 +228,16 @@ def _filling_space(q, a, b):
 
 
 def _classified(K, a, b, basis, lo, hi):
-    """(index, form, verdict) for candidates lo..hi-1, one at a time; every
-    hundredth form is re-checked to be filling."""
+    """(index, form, verdict, smooth) for candidates lo..hi-1, one at a
+    time, as _classify gives them; every hundredth form is re-checked to
+    be filling."""
     flat = _flat(basis)
     vectors = projective_vectors(K.order, len(basis), lo)
     for k, v in zip(range(lo, hi), vectors):
         F = _form(K, a, b, v, flat)
         if (k - lo) % 100 == 0 and not is_filling(F):
             raise AssertionError(f"candidate {k} of ({a},{b}) is not filling")
-        yield k, F, _classify(F)
+        yield (k, F, *_classify(F))
 
 
 def census(q, a, b, smooth=False, exemplar_cap=8, part=None):
@@ -231,14 +262,14 @@ def census(q, a, b, smooth=False, exemplar_cap=8, part=None):
     exemplars = []
     n_smooth = 0
     singular_irr = []
-    for k, F, verdict in _classified(K, a, b, basis, lo, hi):
+    for k, F, verdict, certified in _classified(K, a, b, basis, lo, hi):
         if verdict == "irreducible":
             n_irr += 1
             irr_indices.append(k)
             if len(exemplars) < exemplar_cap:
                 exemplars.append(F)
             if smooth:
-                if certify_smooth(F).verdict == "Smooth":
+                if certified or certify_smooth(F).verdict == "Smooth":
                     n_smooth += 1
                 else:
                     singular_irr.append(k)
@@ -354,7 +385,7 @@ def _scan_cell(K, q, a, b):
     except Infeasible:
         return ScanCell(a, b, None, "infeasible")
     saw_unknown = False
-    for k, _F, verdict in _classified(K, a, b, basis, 0, total):
+    for k, _F, verdict, _smooth in _classified(K, a, b, basis, 0, total):
         if verdict == "irreducible":
             return ScanCell(a, b, True, "census", witness_index=k)
         if verdict == "unknown":

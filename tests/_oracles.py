@@ -4,9 +4,14 @@ Everything here deliberately avoids the code paths under test: forms are
 evaluated from power tables of all four coordinates, point counts enumerate
 raw coordinate tuples, ranks come from a local row reduction over a prime
 field, and resultants from fraction-free elimination on the literal
-Sylvester matrix.
+Sylvester matrix.  The census classifier's oracle is the one exception: it
+keeps the former classification order, method B in full and method A only
+when B is over budget, to check that the staged order gives every verdict
+unchanged.
 """
 
+from bifill.analysis import is_abs_irreducible
+from bifill.errors import Infeasible
 from bifill.gf import UniPoly, extension_field
 
 # The minimal curve over GF(2), spelled out once and frozen.  construct(2)
@@ -197,3 +202,18 @@ def sylvester_resultant(A, B, var="y"):
             row[i + j] = c
         mat.append(row)
     return _poly_det_bareiss(mat, K)
+
+
+def classify_b_then_a(F):
+    """Census verdict, 'irreducible', 'reducible' or 'unknown', from
+    method B first and method A only when B exceeds its budget."""
+    try:
+        res = is_abs_irreducible(F, method="B")
+        return "irreducible" if res.irreducible else "reducible"
+    except Infeasible:
+        pass
+    try:
+        is_abs_irreducible(F, method="A")
+        return "irreducible"
+    except Infeasible:
+        return "unknown"

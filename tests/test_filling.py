@@ -82,7 +82,7 @@ def test_decompose_recombines_combinations(q, a, b):
     assert D.recombine() == F
 
 
-@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_decompose_constructed_curves(q):
     F = construct(q)
     D = decompose(F)

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
-from _oracles import filling_kernel_rows, rref_rank_mod_p
+from _oracles import classify_b_then_a, filling_kernel_rows, rref_rank_mod_p
 from bifill import analysis, search
 from bifill.analysis import _proj_forms
 from bifill.bipoly import BiPoly
@@ -203,6 +205,65 @@ def test_census_part_validation(gf2):
         census(2, 3, 3, part=(2, 2))
 
 
+# -- the staged classifier against the B-then-A order -----------------------------
+
+def _against_b_then_a(monkeypatch, q, a, b, part=None):
+    staged = census(q, a, b, smooth=True, part=part)
+    with monkeypatch.context() as m:
+        m.setattr(search, "_classify", lambda F: (classify_b_then_a(F), False))
+        oracle = census(q, a, b, smooth=True, part=part)
+    assert staged.to_json() == oracle.to_json()
+    assert staged.exemplar_cap == oracle.exemplar_cap
+    return staged
+
+
+@pytest.mark.parametrize("a,b", [(3, 4), (4, 3)])
+def test_staged_census_matches_b_then_a_over_gf2(monkeypatch, a, b):
+    assert _against_b_then_a(monkeypatch, 2, a, b).n_irreducible == 66
+
+
+@pytest.mark.parametrize("k", [0, 138, 156, 614])
+def test_staged_census_matches_b_then_a_on_344_slices(monkeypatch, k):
+    # the k=2 conjugate-norm cell is over budget, so method A runs between
+    # the cheap and the remaining divisor cells; slice 138 holds 2219
+    _against_b_then_a(monkeypatch, 3, 4, 4, part=(k, 615))
+
+
+@pytest.mark.parametrize(
+    "q,a,b,part,budget",
+    [
+        # 191 divisor candidates fit, the 585 of the k=3 norm cell do not;
+        # every (3,3) form has a factor of total degree <= 2
+        (2, 3, 3, None, 500),
+        # 1274 divisor candidates fit, the 87381 of the k=2 norm cell do
+        # not; this slice has forms certified smooth between the divisor
+        # cells, forms with no factor of total degree <= 2 but a larger
+        # one, and forms neither method decides
+        (2, 4, 4, (11, 512), 5000),
+    ],
+)
+def test_staged_census_matches_b_then_a_past_the_norm_budget(monkeypatch, q, a, b, part, budget):
+    monkeypatch.setattr(analysis, "FACTOR_SEARCH_BUDGET", budget)
+    _against_b_then_a(monkeypatch, q, a, b, part=part)
+
+
+def test_smooth_census_certifies_each_irreducible_once(monkeypatch):
+    # the staged classifier already certified these irreducibles smooth
+    calls = []
+    certify_smooth = analysis.certify_smooth
+
+    def counted(F):
+        calls.append(F)
+        return certify_smooth(F)
+
+    monkeypatch.setattr(analysis, "certify_smooth", counted)
+    monkeypatch.setattr(search, "certify_smooth", counted)
+    reps = [census(3, 4, 4, smooth=True, part=(k, 615)) for k in (138, 139, 156)]
+    assert [r.n_irreducible for r in reps] == [2, 5, 1]
+    assert [r.n_smooth for r in reps] == [2, 5, 1]
+    assert len(calls) == 8
+
+
 # -- bidegree scans --------------------------------------------------------------
 
 def test_scan_243_grid(gf2):
@@ -226,7 +287,11 @@ def test_scan_244_upward_closure(gf2):
 
 # -- the (3,4,4) golden census ---------------------------------------------------
 
-@pytest.mark.slow
+# SHA-256 of json.dumps(census(3, 4, 4).to_json(), sort_keys=True), recorded
+# with the B-then-A classification order
+CENSUS_344_SHA256 = "a92b306f0041ab0be8ef6e9ad5e6e813f1bd240897eb81a5c95244982d61127c"
+
+
 def test_census_344_golden(gf3):
     rep = census(3, 4, 4)
     assert rep.candidates_scanned == 9841
@@ -239,3 +304,5 @@ def test_census_344_golden(gf3):
     assert k == 2219
     assert rep.irreducible_indices[0] == 2219
     assert k in rep.irreducible_indices
+    doc = json.dumps(rep.to_json(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == CENSUS_344_SHA256
