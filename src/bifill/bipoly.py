@@ -782,13 +782,16 @@ def resultant_elim(A, B, var):
 
 def _newton_interp(L, xs, ys):
     """Coefficient list (constant first) of the interpolating polynomial."""
+    add, sub, mul, div = L.add, L.sub, L.mul, L.div
     n = len(xs)
     divided = list(ys)
     for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            num = L.sub(divided[i], divided[i - 1])
-            den = L.sub(xs[i], xs[i - j])
-            divided[i] = L.div(num, den)
+        # forward, holding the previous order-(j-1) difference
+        prev = divided[j - 1]
+        for i in range(j, n):
+            cur = divided[i]
+            divided[i] = div(sub(cur, prev), sub(xs[i], xs[i - j]))
+            prev = cur
     # Horner expansion of the Newton form into monomial coefficients
     coeffs = [0] * n
     coeffs[0] = divided[n - 1]
@@ -797,10 +800,10 @@ def _newton_interp(L, xs, ys):
         # multiply by (t - xs[k]) then add divided[k]
         nxk = L.neg(xs[k])
         for d in range(deg + 1, 0, -1):
-            coeffs[d] = L.add(coeffs[d - 1], L.mul(coeffs[d], nxk))
-        coeffs[0] = L.mul(coeffs[0], nxk)
+            coeffs[d] = add(coeffs[d - 1], mul(coeffs[d], nxk))
+        coeffs[0] = mul(coeffs[0], nxk)
         deg += 1
-        coeffs[0] = L.add(coeffs[0], divided[k])
+        coeffs[0] = add(coeffs[0], divided[k])
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs

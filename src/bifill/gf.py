@@ -19,8 +19,10 @@ An extension builds its tables with UniPoly arithmetic over its base field
 (the prime field for a one-level extension) modulo its modulus; a prime
 field builds them with integer arithmetic mod p.
 Addition needs no table in characteristic 2 (XOR on indices, since digit
-packing is by powers of two at every level); odd-characteristic fields use a
-flat table when small enough and digitwise base-field addition otherwise.
+packing is by powers of two at every level) and is mod p in a prime field.
+Other odd-characteristic fields use a flat order^2 table up to order 256 and
+Zech logarithms above it: zech[k] = log(1 + g^k), built once from the
+digitwise base-field addition, so a + b = g^(log a + zech[log b - log a]).
 
 Towers are capped at height 2: prime -> GF(q) -> GF(q^m). The second layer
 stores base-field indices as digits, so the base field embeds by identity.
@@ -79,7 +81,8 @@ def _prime_factors(n):
     return out
 
 
-# Flat addition tables cost order^2 ints; worth it only for small odd fields.
+# Flat addition tables cost order^2 ints; up to this order they beat the Zech
+# table (one lookup against three), above it Zech logarithms take over.
 _ADD_TABLE_MAX_ORDER = 256
 
 
@@ -105,8 +108,8 @@ class Field:
             self._modpoly = None
         else:
             self._modpoly = UniPoly(base if base is not None else _prime_field(p), modulus)
-        self._build_add()
         self._build_mul()
+        self._build_add()  # after _build_mul: a Zech table reads exp/log
 
     # -- construction helpers ------------------------------------------------
 
@@ -129,8 +132,12 @@ class Field:
             self.add = self._add_flat
             self.sub = self._sub_flat
         else:
-            self.add = self._add_digits
-            self.sub = self._sub_digits
+            # zech[k] = log(1 + g^k), -1 where 1 + g^k = 0
+            log = self._log
+            sums = [self._add_digits(1, x) for x in self._exp[: order - 1]]
+            self._zech = [log[v] if v else -1 for v in sums]
+            self.add = self._add_zech
+            self.sub = self._sub_zech
 
     def _build_mul(self):
         order = self.order
@@ -197,6 +204,17 @@ class Field:
     def _neg_table(self, a):
         return self._negt[a]
 
+    def _add_zech(self, a, b):
+        if not a or not b:
+            return a or b
+        log = self._log
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return 0 if z < 0 else self._exp[la + z]
+
+    def _sub_zech(self, a, b):
+        return self._add_zech(a, self._negt[b])
+
     def _add_digits(self, a, b):
         s = self.s
         base = self.base
@@ -211,9 +229,6 @@ class Field:
             a //= s
             b //= s
         return out
-
-    def _sub_digits(self, a, b):
-        return self._add_digits(a, self._negt[b])
 
     def _neg_digits(self, a):
         s = self.s

@@ -1,13 +1,13 @@
 """Independent reference implementations used only by the tests.
 
-Everything here deliberately avoids the code paths under test: forms are
-evaluated from power tables of all four coordinates, point counts enumerate
-raw coordinate tuples, ranks come from a local row reduction over a prime
-field, and resultants from fraction-free elimination on the literal
-Sylvester matrix.  The census classifier's oracle is the one exception: it
-keeps the former classification order, method B in full and method A only
-when B is over budget, to check that the staged order gives every verdict
-unchanged.
+Everything here deliberately avoids the code paths under test: field sums
+add digit by digit in the base field, forms are evaluated from power tables
+of all four coordinates, point counts enumerate raw coordinate tuples, ranks
+come from a local row reduction over a prime field, and resultants from
+fraction-free elimination on the literal Sylvester matrix.  The census
+classifier's oracle is the one exception: it keeps the former
+classification order, method B in full and method A only when B is over
+budget, to check that the staged order gives every verdict unchanged.
 """
 
 from bifill.analysis import is_abs_irreducible
@@ -21,6 +21,18 @@ T42 = (
     "X0^2*X1^2*Y0^2*Y1 + X0^2*X1^2*Y0*Y1^2 + X0^2*X1^2*Y1^3 + "
     "X0*X1^3*Y1^3 + X1^4*Y0^2*Y1 + X1^4*Y0*Y1^2"
 )
+
+
+def digit_add(K, a, b):
+    """a + b in K digit by digit: unpack both indices base K.s, add each
+    digit pair with the base field's add (mod p over the prime field) and
+    pack the sums back.  Reads none of K's own tables."""
+    s = K.s
+    badd = K.base.add if K.base is not None else (lambda x, y: (x + y) % K.p)
+    out = 0
+    for k in range(K.e):
+        out += badd(a // s**k % s, b // s**k % s) * s**k
+    return out
 
 
 def _powers(K, x, n):

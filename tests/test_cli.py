@@ -195,6 +195,11 @@ CONSTRUCT_Q4 = (
     " + [0,1]*X0^4*X1*Y1^5 + X0*X1^4*Y0^5 + X0*X1^4*Y0^4*Y1"
     " + [0,1]*X0*X1^4*Y1^5 + [1,1]*X1^5*Y0^4*Y1 + [1,1]*X1^5*Y0*Y1^4"
 )
+CONSTRUCT_Q3 = (
+    "X0^4*Y0^3*Y1 + 2*X0^4*Y0*Y1^3 + X0^3*X1*Y0^4 + X0^3*X1*Y1^4"
+    " + 2*X0*X1^3*Y0^4 + X0*X1^3*Y0^3*Y1 + 2*X0*X1^3*Y0*Y1^3"
+    " + 2*X0*X1^3*Y1^4 + 2*X1^4*Y0^3*Y1 + X1^4*Y0*Y1^3"
+)
 PINNED_JSON = {
     "census-q2-43": (
         ("census", "--q", "2", "--bidegree", "4,3", "--smooth"),
@@ -235,6 +240,12 @@ PINNED_JSON = {
     "count-construct4-ext2": (
         ("count", "--q", "4", "--poly", CONSTRUCT_Q4, "--ext", "2"),
         "2c3e777480557759953b6ce0b506f9caa5ad8801ea9657994490c0416b99ad6e"),
+    "construct-q7": (
+        ("construct", "--q", "7"),
+        "33e013d03b42d8151461db2ed83df9572c72873eb4ab30826e5f1feffa5ef6c5"),
+    "count-construct3-ext6": (
+        ("count", "--q", "3", "--poly", CONSTRUCT_Q3, "--ext", "6"),
+        "ed2483e7e9831443e97a652a76cf8e0611cd7e9584f3956b9266ecebba9ad683"),
 }
 
 

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _oracles import digit_add
 from bifill import gf
 from bifill.errors import (
     BadParameters,
@@ -22,7 +25,9 @@ from bifill.gf import (
     unipoly_roots,
 )
 
-ORDERS = [2, 3, 4, 5, 8, 9]
+# (q, m) names extension_field(field_for(q), m); GF(343), GF(729) and the
+# tower GF(729/9) add by Zech logarithms, the rest by XOR, mod p or a table
+AXIOM_FIELDS = [(2, 1), (3, 1), (4, 1), (5, 1), (8, 1), (9, 1), (343, 1), (729, 1), (9, 3)]
 
 
 def field(q):
@@ -108,13 +113,14 @@ def test_enumeration_counting_order(gf4):
 
 # -- field axioms --------------------------------------------------------------
 
-@given(
-    q=st.sampled_from(ORDERS),
-    data=st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8)),
-)
-def test_field_axioms(q, data):
-    K = field(q)
-    a, b, c = (i % K.order for i in data)
+def elements(data, K, n):
+    return data.draw(st.tuples(*[st.integers(0, K.order - 1)] * n))
+
+
+@given(qm=st.sampled_from(AXIOM_FIELDS), data=st.data())
+def test_field_axioms(qm, data):
+    K = extension_field(field_for(qm[0]), qm[1])
+    a, b, c = elements(data, K, 3)
     add, mul = K.add, K.mul
     assert add(add(a, b), c) == add(a, add(b, c))
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
@@ -131,14 +137,45 @@ def test_field_axioms(q, data):
         assert K.pow_(a, K.order - 1) == 1
 
 
-@given(q=st.sampled_from(ORDERS), i=st.integers(0, 8))
-def test_characteristic(q, i):
-    K = field(q)
-    a = i % K.order
+@given(qm=st.sampled_from(AXIOM_FIELDS), data=st.data())
+def test_characteristic(qm, data):
+    K = extension_field(field_for(qm[0]), qm[1])
+    (a,) = elements(data, K, 1)
     acc = 0
     for _ in range(K.p):
         acc = K.add(acc, a)
     assert acc == 0
+
+
+# (q, m) as in AXIOM_FIELDS: GF(9) and GF(243) add by the flat table, the
+# rest, GF(729/9) and GF(625/25) among them, by Zech logarithms
+ADD_FIELDS = [(9, 1), (243, 1), (343, 1), (625, 1), (729, 1), (2197, 1), (9, 3), (25, 2)]
+
+
+@pytest.mark.parametrize("q,m", ADD_FIELDS)
+def test_add_and_sub_match_the_digit_loop(q, m):
+    K = extension_field(field_for(q), m)
+    # 1 + x over the whole field reads every entry of a Zech table
+    assert [K.add(1, x) for x in range(K.order)] == [
+        digit_add(K, 1, x) for x in range(K.order)
+    ]
+    rng = random.Random(K.order)
+    xs = [rng.randrange(K.order) for _ in range(2000)]
+    pairs = list(zip(xs, reversed(xs)))
+    pairs += [(x, K.neg(x)) for x in xs[:50]] + [(x, x) for x in xs[:50]]
+    pairs += [(x, 0) for x in xs[:10]] + [(0, x) for x in xs[:10]] + [(0, 0)]
+    for a, b in pairs:
+        assert K.add(a, b) == digit_add(K, a, b)
+        assert digit_add(K, K.sub(a, b), b) == a
+    assert all(digit_add(K, x, K.neg(x)) == 0 for x in xs)
+
+
+def test_no_field_adds_digit_by_digit_at_runtime():
+    for q, m in ADD_FIELDS + AXIOM_FIELDS:
+        extension_field(field_for(q), m)
+    for K in gf._FIELDS.values():
+        assert K.add.__func__ is not gf.Field._add_digits
+        assert K.sub.__func__ is not gf.Field._add_digits
 
 
 def test_division_by_zero_is_both_types(gf5):
