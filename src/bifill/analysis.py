@@ -522,31 +522,6 @@ def conjugate_norms(field, a, b, k):
     return _NORM_CACHE[key]
 
 
-# Most probe points find_factor tests each divisor candidate at.
-PROBE_CAP = 32
-
-
-def _nonvanishing_points(F):
-    """(L, points): the quadratic extension L and up to PROBE_CAP coordinate
-    tuples over it where F is nonzero; a divisor of F can never vanish at
-    such a point."""
-    K = F.field
-    L = extension_field(K, 2)
-    G = F.map_field(L)
-    coords = [P.coords() for P in enum_p1(L)]
-    out = []
-    for x0, x1 in coords:
-        coeffs = G.restrict(x0, x1)
-        if all(c == 0 for c in coeffs):
-            continue
-        for y0, y1 in coords:
-            if binary_eval(L, coeffs, y0, y1) != 0:
-                out.append((x0, x1, y0, y1))
-                if len(out) >= PROBE_CAP:
-                    return L, out
-    return L, out
-
-
 # Most projective divisor candidates find_factor, or one conjugate-norm
 # cell of is_abs_irreducible, may enumerate.
 FACTOR_SEARCH_BUDGET = 1 << 22
@@ -556,10 +531,10 @@ class FactorScan:
     """find_factor's divisor search, resumable.
 
     The divisor cells are walked in ascending total degree, then
-    lexicographic cell order. The constructor checks FACTOR_SEARCH_BUDGET
-    before any divisor is tried and raises Infeasible when the cells
-    exceed it; each search call resumes after the last cell tested, and
-    every call shares one set of probe points."""
+    lexicographic cell order, and each candidate G in a cell goes straight
+    to divides(G, F). The constructor checks FACTOR_SEARCH_BUDGET before
+    any divisor is tried and raises Infeasible when the cells exceed it;
+    each search call resumes after the last cell tested."""
 
     def __init__(self, F):
         a, b = F.a, F.b
@@ -580,7 +555,6 @@ class FactorScan:
                 f"{total} division candidates exceed the budget {FACTOR_SEARCH_BUDGET}"
             )
         self._tested = 0
-        self._probes = None
 
     def search(self, max_degree=None):
         """Least proper GF(q)-factor of F in the untested cells of total
@@ -591,14 +565,8 @@ class FactorScan:
             a2, b2 = self.cells[self._tested]
             if max_degree is not None and a2 + b2 > max_degree:
                 return None
-            if self._probes is None:
-                self._probes = _nonvanishing_points(F)
-            L, probes = self._probes
             self._tested += 1
             for G in _proj_forms(K, a2, b2):
-                GL = G.map_field(L)
-                if any(GL.eval(*pt) == 0 for pt in probes):
-                    continue
                 if divides(G, F) is not None:
                     return G
         return None

@@ -624,8 +624,15 @@ def parse_bipoly(text, field):
 # -- divisibility ---------------------------------------------------------------
 
 def divides(G, F):
-    """Exact cofactor H with G*H = F, or None. Solves the linear system in
-    H's coefficients and re-multiplies to confirm (mul by a nonzero form is
+    """Exact cofactor H with G*H = F, or None, by 2-D division.
+
+    The pivot is G's lexicographically last nonzero entry (ig, jg): the
+    largest row index, then the largest column in that row. H[i][j] is read
+    off F[i+ig][j+jg], less every other term of G times the H entry it
+    meets there; that entry is later than (i, j) in row-major order, so
+    solving H from its last entry back reads only entries already solved.
+    The solve reads only the F entries of that shifted window, so H is
+    returned only when G*H reproduces all of F (mul by a nonzero form is
     injective, so H is unique when it exists)."""
     if G.is_zero():
         raise ZeroDivisor("zero divisor")
@@ -634,41 +641,33 @@ def divides(G, F):
     if ah < 0 or bh < 0:
         return None
     K = F.field
-    ncols = (ah + 1) * (bh + 1)
-    mat = []
-    for fi in range(F.a + 1):
-        for fj in range(F.b + 1):
-            row = [0] * (ncols + 1)
-            for hi in range(max(0, fi - G.a), min(ah, fi) + 1):
-                for hj in range(max(0, fj - G.b), min(bh, fj) + 1):
-                    row[hi * (bh + 1) + hj] = G.rows[fi - hi][fj - hj]
-            row[ncols] = F.rows[fi][fj]
-            mat.append(row)
-    pivots = row_reduce(K, mat, ncols)
-    if any(row[ncols] != 0 for row in mat[len(pivots):]):
-        return None  # inconsistent
-    sol = [0] * ncols
-    for row, c in zip(mat, pivots):
-        sol[c] = row[ncols]
-    rows = tuple(
-        tuple(sol[i * (bh + 1) + j] for j in range(bh + 1)) for i in range(ah + 1)
-    )
-    H = BiPoly._raw(K, ah, bh, rows)
+    terms = [(u, v, c) for u, row in enumerate(G.rows) for v, c in enumerate(row) if c]
+    ig, jg, lead = terms.pop()
+    inv = K.inv(lead)
+    H = [[0] * (bh + 1) for _ in range(ah + 1)]
+    for i in range(ah, -1, -1):
+        for j in range(bh, -1, -1):
+            acc = F.rows[i + ig][j + jg]
+            for u, v, c in terms:
+                ii, jj = i + ig - u, j + jg - v
+                if ii <= ah and 0 <= jj <= bh and H[ii][jj]:
+                    acc = K.sub(acc, K.mul(c, H[ii][jj]))
+            H[i][j] = K.mul(acc, inv)
+    H = BiPoly._raw(K, ah, bh, tuple(map(tuple, H)))
     if G * H == F:
         return H
     return None
 
 
-def row_reduce(K, mat, ncols):
-    """Gauss-Jordan elimination in place over the first ncols columns of
-    mat, a list of rows of element indices; later columns ride along.
-    Returns the pivot columns: row r of the result has a 1 at pivots[r] and
-    0 in every other pivot column, and rows past the last pivot are zero in
-    the first ncols columns."""
+def row_reduce(K, mat):
+    """Gauss-Jordan elimination in place over mat, a list of rows of
+    element indices of equal length. Returns the pivot columns: row r of
+    the result has a 1 at pivots[r] and 0 in every other pivot column, and
+    rows past the last pivot are zero."""
     nrows = len(mat)
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(mat[0]) if mat else 0):
         sel = None
         for i in range(r, nrows):
             if mat[i][c] != 0:

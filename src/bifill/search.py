@@ -66,7 +66,7 @@ def filling_space_basis(q, a, b):
                  for i in range(a + 1) for j in range(b - q)]
     nc = (a + 1) * (b + 1)
     mat = _flat(gens)
-    rank = len(row_reduce(K, mat, nc))
+    rank = len(row_reduce(K, mat))
     out = []
     for v in mat[:rank]:
         rows = [v[i * (b + 1):(i + 1) * (b + 1)] for i in range(a + 1)]

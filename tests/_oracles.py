@@ -3,14 +3,16 @@
 Everything here deliberately avoids the code paths under test: field sums
 add digit by digit in the base field, forms are evaluated from power tables
 of all four coordinates, point counts enumerate raw coordinate tuples, ranks
-come from a local row reduction over a prime field, and resultants from
-fraction-free elimination on the literal Sylvester matrix.  The census
-classifier's oracle is the one exception: it keeps the former
+come from a local row reduction over a prime field, cofactors from the
+linear system of G*H = F solved by a local Gauss-Jordan elimination, and
+resultants from fraction-free elimination on the literal Sylvester matrix.
+The census classifier's oracle is the one exception: it keeps the former
 classification order, method B in full and method A only when B is over
 budget, to check that the staged order gives every verdict unchanged.
 """
 
 from bifill.analysis import is_abs_irreducible
+from bifill.bipoly import BiPoly
 from bifill.errors import Infeasible
 from bifill.gf import UniPoly, extension_field
 
@@ -82,6 +84,34 @@ def _rref(K, mat, ncols):
                 mat[i] = [K.sub(x, K.mul(f, y)) for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
     return pivots
+
+
+def linear_divides(G, F):
+    """Cofactor H with G*H = F, or None, from the linear system in H's
+    coefficients: one equation per entry of F, solved by _rref.  Every
+    entry of F is an equation, so a consistent system is the cofactor."""
+    K = F.field
+    ah, bh = F.a - G.a, F.b - G.b
+    if ah < 0 or bh < 0:
+        return None
+    n = (ah + 1) * (bh + 1)
+    mat = []
+    for fi in range(F.a + 1):
+        for fj in range(F.b + 1):
+            row = [0] * (n + 1)
+            for hi in range(ah + 1):
+                for hj in range(bh + 1):
+                    if 0 <= fi - hi <= G.a and 0 <= fj - hj <= G.b:
+                        row[hi * (bh + 1) + hj] = G.rows[fi - hi][fj - hj]
+            row[n] = F.rows[fi][fj]
+            mat.append(row)
+    pivots = _rref(K, mat, n)
+    if any(row[n] for row in mat[len(pivots):]):
+        return None
+    sol = [0] * n
+    for row, c in zip(mat, pivots):
+        sol[c] = row[n]
+    return BiPoly(K, ah, bh, [sol[i * (bh + 1):(i + 1) * (bh + 1)] for i in range(ah + 1)])
 
 
 def filling_kernel_rows(K, a, b):

@@ -1,7 +1,13 @@
-import pytest
+import functools
 
-from _oracles import T42
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from _oracles import T42, linear_divides
 from bifill.analysis import (
+    FactorScan,
+    _proj_forms,
     certify_smooth,
     common_zeros,
     conjugate_norms,
@@ -14,7 +20,7 @@ from bifill.analysis import (
     verify_witness,
     witness_point,
 )
-from bifill.bipoly import divides, eval_bipoly, parse_bipoly
+from bifill.bipoly import BiPoly, divides, eval_bipoly, parse_bipoly
 from bifill.errors import Infeasible, SetupViolation
 from bifill.families import _ruling_pair, construct, pair_curve
 from bifill.filling import frobenius_forms, is_filling
@@ -186,6 +192,57 @@ def test_find_factor_on_a_product(gf3):
 
 def test_find_factor_none_on_constructed_curve(gf3):
     assert find_factor(construct(3)) is None
+
+
+def _first_linear_divisor(F):
+    # the scan order written out: cells of total degree 1 to (a+b)//2,
+    # ascending total degree, then lexicographic; each cell in census order
+    a, b = F.bidegree
+    cells = sorted(
+        ((a2, b2) for a2 in range(a + 1) for b2 in range(b + 1)
+         if 0 < a2 + b2 <= (a + b) // 2),
+        key=lambda cell: (sum(cell), cell),
+    )
+    for a2, b2 in cells:
+        for G in _proj_forms(F.field, a2, b2):
+            if linear_divides(G, F) is not None:
+                return G
+    return None
+
+
+@functools.cache
+def _irreducibles(q, a, b):
+    return [G for G in _proj_forms(field(q), a, b) if _first_linear_divisor(G) is None]
+
+
+@st.composite
+def products(draw):
+    """A product of two or three GF(q)-irreducible forms over GF(2) or
+    GF(3), of bi-degrees from (0,1) to (3,0), none of total degree below a
+    drawn floor: its divisors sit in several cells, and the least lies
+    past total degree 2 when the floor is 3."""
+    q = draw(st.sampled_from((2, 3)))
+    floor = draw(st.integers(1, 3))
+    cells = [c for c in ((0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2), (2, 1),
+                         (3, 0)) if sum(c) >= floor]
+    F = BiPoly(field(q), 0, 0, [[1]])
+    for _ in range(draw(st.integers(2, 3))):
+        forms = _irreducibles(q, *draw(st.sampled_from(cells)))
+        F = F * forms[draw(st.integers(0, len(forms) - 1))]
+    return F
+
+
+@given(F=products())
+def test_find_factor_is_the_first_divisor_in_scan_order(F):
+    G = find_factor(F)
+    assert G is not None
+    assert G == _first_linear_divisor(F)
+    # the census's staged use: the cheap cells first, then the rest
+    scan = FactorScan(F)
+    staged = scan.search(max_degree=2)
+    if staged is None:
+        staged = scan.search()
+    assert staged == G
 
 
 def test_reducible_form_rejected_by_fast_scan(gf2):

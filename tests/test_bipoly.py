@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from _oracles import power_table_eval, sylvester_resultant
+from _oracles import linear_divides, power_table_eval, sylvester_resultant
 from bifill.bipoly import (
     CHARTS,
     AffinePoly,
@@ -220,6 +220,51 @@ def test_divides_on_actual_products(G, H):
     got = divides(G, F)
     assert got is not None
     assert G * got == F
+
+
+@st.composite
+def division_cases(draw):
+    """(G, dividends): a nonzero G and, for it, a product G*H, a random
+    form and the zero form of that product's bi-degree, and (unless G is
+    constant) a random form below G in one bi-degree entry."""
+    K = draw(st.sampled_from(
+        (field(2), field(3), field(4), field(9), extension_field(field(4), 2))
+    ))
+
+    def form(a, b):
+        element = st.integers(0, K.order - 1)
+        return BiPoly(K, a, b, [[draw(element) for _ in range(b + 1)] for _ in range(a + 1)])
+
+    G = form(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    # a zero corner, last row or last column puts the pivot inside G's
+    # matrix; a zero corner leaves terms right of the pivot column
+    blank = draw(st.sampled_from(("none", "corner", "last row", "last column")))
+    rows = [list(r) for r in G.rows]
+    if blank == "corner":
+        rows[-1][-1] = 0
+    elif blank == "last row":
+        rows[-1] = [0] * (G.b + 1)
+    elif blank == "last column":
+        for r in rows:
+            r[-1] = 0
+    G = BiPoly(K, G.a, G.b, rows)
+    assume(not G.is_zero())
+    ah, bh = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    F = form(G.a + ah, G.b + bh)
+    dividends = [G * form(ah, bh), F, BiPoly.zero(K, F.a, F.b)]
+    if G.a:
+        dividends.append(form(G.a - 1, F.b))
+    elif G.b:
+        dividends.append(form(F.a, G.b - 1))
+    return G, dividends
+
+
+@given(case=division_cases())
+def test_divides_matches_the_linear_solve(case):
+    G, dividends = case
+    assert divides(G, dividends[0]) is not None
+    for F in dividends:
+        assert divides(G, F) == linear_divides(G, F)
 
 
 def test_divides_negative_and_zero_cases(gf2):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import bifill
@@ -55,3 +56,34 @@ def test_every_exported_name_is_defined():
             if name not in vars(module):
                 missing.append(f"{path.stem}.{name}")
     assert missing == []
+
+
+def test_every_module_constant_is_read():
+    # a constant left behind by deleted code still reads as a live setting;
+    # a read is a loaded name or an attribute (module.NAME) anywhere in the
+    # package, other than the assignment itself
+    constant = re.compile(r"_?[A-Z][A-Z0-9_]*")
+    assigned, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            assigned += [
+                f"{path.stem}.{t.id}"
+                for target in targets
+                for t in ast.walk(target)
+                if isinstance(t, ast.Name) and constant.fullmatch(t.id)
+            ]
+        read |= {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)
+        }
+    assert assigned
+    assert [name for name in assigned if name.split(".")[1] not in read] == []
