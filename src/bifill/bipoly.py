@@ -723,9 +723,17 @@ def resultant_elim(A, B, var):
     univariate polynomial in the other variable over the owner field.
 
     Computed as the exact Sylvester determinant by evaluation at enough
-    points of an extension field and interpolation back; specialization is
-    valid at points where neither leading coefficient vanishes, and the
-    interpolated coefficients land in the owner field exactly.
+    points of an extension field L of the owner field K and interpolation
+    back; specialization is valid at points where neither leading
+    coefficient vanishes, and the interpolated coefficients land in K
+    exactly.
+
+    One resultant is taken per Frobenius orbit.  With q = |K| and
+    sigma(x) = x^q, R = Res(A, B) lies in K[x], so R(sigma x) = sigma R(x);
+    the leading coefficients also lie in K[x], so the set of points where
+    one of them vanishes is sigma-closed.  Each orbit x, x^q, x^(q^2), ...
+    is therefore all good nodes or all bad ones, and its values are r,
+    r^q, r^(q^2), ... from the single value r at its least element.
     """
     if A.is_zero() or B.is_zero():
         raise ZeroPolynomial("resultant of the zero polynomial")
@@ -756,20 +764,35 @@ def resultant_elim(A, B, var):
     emap = embedding_map(K, L)
     ca_l = [p.map_field(L, emap) for p in ca]
     cb_l = [p.map_field(L, emap) for p in cb]
+    q = K.order
+    frob = L.pow_
+    seen = bytearray(L.order)
     xs = []
     ys = []
     for xi in range(L.order):
+        if seen[xi]:
+            continue
+        orbit = [xi]
+        seen[xi] = 1
+        x = frob(xi, q)
+        while x != xi:
+            orbit.append(x)
+            seen[x] = 1
+            x = frob(x, q)
         if ca_l[na].eval_at(xi) == 0 or cb_l[nb].eval_at(xi) == 0:
             continue
         fa = UniPoly(L, [p.eval_at(xi) for p in ca_l])
         fb = UniPoly(L, [p.eval_at(xi) for p in cb_l])
-        xs.append(xi)
-        ys.append(_uni_resultant(fa, fb))
-        if len(xs) == need:
+        r = _uni_resultant(fa, fb)
+        for x in orbit:
+            xs.append(x)
+            ys.append(r)
+            r = frob(r, q)
+        if len(xs) >= need:
             break
-    if len(xs) != need:
+    if len(xs) < need:
         raise AssertionError("extension field too small for interpolation")
-    coeffs_l = _newton_interp(L, xs, ys)
+    coeffs_l = _newton_interp(L, xs[:need], ys[:need])
     inv = {v: i for i, v in enumerate(emap)}
     out = []
     for c in coeffs_l:

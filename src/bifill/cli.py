@@ -78,14 +78,22 @@ def _emit(args, doc, human):
 
 def _summarize(F):
     """The full battery: filling, smoothness, irreducibility, points,
-    bound attainment."""
+    bound attainment.
+
+    The smoothness certificate is taken once and reused as route A of
+    absolute irreducibility (F smooth with both bi-degree entries positive);
+    only when it does not apply does method B run, as "auto" would.
+    """
     filling = is_filling(F)
     cert = certify_smooth(F)
-    try:
-        res = is_abs_irreducible(F)
-        irr, method = res.irreducible, res.method
-    except Infeasible:
-        irr, method = None, None
+    if F.a >= 1 and F.b >= 1 and cert.verdict == "Smooth":
+        irr, method = True, "A"
+    else:
+        try:
+            res = is_abs_irreducible(F, method="B")
+            irr, method = res.irreducible, res.method
+        except Infeasible:
+            irr, method = None, None
     report = check_attainment(F, irreducible=irr)
     return filling, cert, irr, method, report
 

@@ -6,15 +6,17 @@ of all four coordinates, point counts enumerate raw coordinate tuples, ranks
 come from a local row reduction over a prime field, cofactors from the
 linear system of G*H = F solved by a local Gauss-Jordan elimination, and
 resultants from fraction-free elimination on the literal Sylvester matrix.
-The census classifier's oracle is the one exception: it keeps the former
-classification order, method B in full and method A only when B is over
-budget, to check that the staged order gives every verdict unchanged.
+Two oracles are the exception and keep a former algorithm instead: the
+census classifier's runs method B in full and method A only when B is over
+budget, to check that the staged order gives every verdict unchanged, and
+resultant_every_node evaluates at every good node rather than once per
+Frobenius orbit, sharing bifill's univariate resultant and interpolation.
 """
 
 from bifill.analysis import is_abs_irreducible
-from bifill.bipoly import BiPoly
+from bifill.bipoly import BiPoly, _newton_interp, _uni_resultant
 from bifill.errors import Infeasible
-from bifill.gf import UniPoly, extension_field
+from bifill.gf import UniPoly, embedding_map, extension_field
 
 # The minimal curve over GF(2), spelled out once and frozen.  construct(2)
 # and the parser must both reproduce it exactly.
@@ -244,6 +246,44 @@ def sylvester_resultant(A, B, var="y"):
             row[i + j] = c
         mat.append(row)
     return _poly_det_bareiss(mat, K)
+
+
+def resultant_every_node(A, B, var):
+    """resultant_elim as it was before the orbit walk: evaluate both chart
+    polynomials and take a univariate resultant at each of the first
+    deg-bound + 1 elements of L where neither leading coefficient
+    vanishes, then interpolate."""
+    if var == "x":
+        return resultant_every_node(A.transpose(), B.transpose(), "y")
+    K = A.field
+    ca, cb = A.y_coeffs(), B.y_coeffs()
+    na, nb = A.deg_y, B.deg_y
+    if na == 0 or nb == 0:
+        base, n = (ca[0], nb) if na == 0 else (cb[0], na)
+        out = UniPoly(K, (1,))
+        for _ in range(n):
+            out = out * base
+        return out
+    need = na * B.deg_x + nb * A.deg_x + 1
+    k = 1
+    while K.order**k < need + ca[na].degree + cb[nb].degree:
+        k += 1
+    L = extension_field(K, k)
+    emap = embedding_map(K, L)
+    ca_l = [p.map_field(L, emap) for p in ca]
+    cb_l = [p.map_field(L, emap) for p in cb]
+    xs, ys = [], []
+    for xi in range(L.order):
+        if ca_l[na].eval_at(xi) == 0 or cb_l[nb].eval_at(xi) == 0:
+            continue
+        fa = UniPoly(L, [p.eval_at(xi) for p in ca_l])
+        fb = UniPoly(L, [p.eval_at(xi) for p in cb_l])
+        xs.append(xi)
+        ys.append(_uni_resultant(fa, fb))
+        if len(xs) == need:
+            break
+    inv = {v: i for i, v in enumerate(emap)}
+    return UniPoly(K, [inv[c] for c in _newton_interp(L, xs, ys)])
 
 
 def classify_b_then_a(F):

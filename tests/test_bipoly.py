@@ -1,8 +1,16 @@
+import math
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from _oracles import linear_divides, power_table_eval, sylvester_resultant
+from _oracles import (
+    linear_divides,
+    power_table_eval,
+    resultant_every_node,
+    sylvester_resultant,
+)
+from bifill import bipoly
 from bifill.bipoly import (
     CHARTS,
     AffinePoly,
@@ -342,6 +350,89 @@ def test_resultant_x_elimination_transposes(gf3):
     At = AffinePoly(A.field, tuple(zip(*A.rows)))
     Bt = AffinePoly(B.field, tuple(zip(*B.rows)))
     assert rx == resultant_elim(At, Bt, "y")
+
+
+def _orbit_fields():
+    # GF(2), GF(4), GF(9) and a tower; the tower cannot be extended
+    # further, so its pairs keep deg_x <= 1 to fit the bound in GF(16)
+    return [(field(2), 3), (field(4), 3), (field(9), 3),
+            (extension_field(field(4), 2), 1)]
+
+
+@given(data=st.data())
+def test_resultant_orbits_match_every_node_and_sylvester(data):
+    K, max_dx = data.draw(st.sampled_from(_orbit_fields()))
+
+    def rand_aff():
+        dx = data.draw(st.integers(0, max_dx))
+        dy = data.draw(st.integers(1, 4))
+        rows = [
+            [data.draw(st.integers(0, K.order - 1)) for _ in range(dy + 1)]
+            for _ in range(dx + 1)
+        ]
+        return AffinePoly(K, rows)
+
+    A, B = rand_aff(), rand_aff()
+    assume(not A.is_zero() and not B.is_zero() and A.deg_y >= 1 and B.deg_y >= 1)
+    r = resultant_elim(A, B, "y")
+    assert r == resultant_every_node(A, B, "y")
+    assert r == sylvester_resultant(A, B, "y")
+
+
+# (y + x)(y + x^2 + 1) and (y + x)(x*y + 1) over GF(2)
+COMMON = ([[0, 1, 1], [1, 1, 0], [0, 1, 0], [1, 0, 0]],
+          [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+
+# rows[i][j] multiplies x^i y^j
+@pytest.mark.parametrize("q,A_rows,B_rows", [
+    # leading y-coefficients 1 + x + x^2 and x: L = GF(16) holds the
+    # GF(4) orbit of roots of the first and the fixed point 0 of the second
+    (2, [[1, 1], [0, 1], [0, 1], [1, 0]], [[1, 0], [0, 1], [1, 0]]),
+    # over GF(3) the leading coefficient 1 + x^2 has its two roots in
+    # L = GF(9), one bad orbit of size 2
+    (3, [[2, 1], [1, 0], [0, 1]], [[2, 0, 1], [0, 1, 0]]),
+    # a member constant in y
+    (2, [[1], [1], [0], [1]], [[0, 1, 1], [1, 0, 1]]),
+    (4, [[1, 2, 3], [0, 1, 0]], [[2], [3], [1]]),
+    # a common factor: the resultant is zero
+    (2, *COMMON),
+])
+def test_resultant_orbit_edge_cases(q, A_rows, B_rows):
+    K = field(q)
+    A, B = AffinePoly(K, A_rows), AffinePoly(K, B_rows)
+    for var in ("y", "x"):
+        r = resultant_elim(A, B, var)
+        assert r == resultant_every_node(A, B, var)
+        assert r == sylvester_resultant(A, B, var)
+
+
+def test_resultant_of_common_factor_is_zero(gf2):
+    A, B = (AffinePoly(gf2, rows) for rows in COMMON)
+    assert resultant_elim(A, B, "y").is_zero()
+    assert resultant_elim(A, B, "x").is_zero()
+
+
+def test_resultant_takes_one_uni_resultant_per_orbit(gf2, monkeypatch):
+    # deg_y 3 and deg_x 3 on both sides: need = 19 nodes, so L = GF(32),
+    # whose Frobenius orbits are {0}, {1} and six of size 5
+    A = AffinePoly(gf2, [[1, 0, 1, 1], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]])
+    B = AffinePoly(gf2, [[0, 1, 1, 1], [1, 0, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1]])
+    need = A.deg_y * B.deg_x + B.deg_y * A.deg_x + 1
+    assert need == 19
+    calls = []
+    inner = bipoly._uni_resultant
+
+    def counting(a, b):
+        calls.append(a.field.order)
+        return inner(a, b)
+
+    monkeypatch.setattr(bipoly, "_uni_resultant", counting)
+    r = resultant_elim(A, B, "y")
+    assert set(calls) == {32}
+    assert len(calls) <= math.ceil(need / 5) + 2
+    monkeypatch.undo()
+    assert r == sylvester_resultant(A, B, "y")
 
 
 # -- affine helpers -------------------------------------------------------------------

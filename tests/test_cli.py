@@ -6,8 +6,13 @@ import jsonschema
 import pytest
 
 from _oracles import T42, brute_point_count
+import bifill.analysis
+import bifill.cli
+from bifill.analysis import is_abs_irreducible
 from bifill.bipoly import parse_bipoly
 from bifill.cli import main
+from bifill.errors import Infeasible
+from bifill.families import construct
 from bifill.gf import parse_field_spec
 
 
@@ -246,6 +251,13 @@ PINNED_JSON = {
     "count-construct3-ext6": (
         ("count", "--q", "3", "--poly", CONSTRUCT_Q3, "--ext", "6"),
         "ed2483e7e9831443e97a652a76cf8e0611cd7e9584f3956b9266ecebba9ad683"),
+    # irreducibility by method B: a Singular form and a Smooth (2,0) one
+    "verify-X0Y0": (
+        ("verify", "--q", "2", "--poly", "X0*Y0"),
+        "f8e1d8a71eb5673556a8011e74fa0b853298b86abceadb980447b73be028fb81"),
+    "verify-conic-20": (
+        ("verify", "--q", "2", "--poly", "X0^2 + X0*X1 + X1^2"),
+        "1497229eafcfa10763c3067fba416fe76f13dc3db3a8f94ff68792439ade02b5"),
 }
 
 
@@ -253,6 +265,50 @@ PINNED_JSON = {
 def test_json_output_is_pinned(capsys, argv, digest):
     _, out, _ = run(capsys, *argv, "--json")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- the battery certifies once --------------------------------------------------
+
+def _form(spec):
+    # an int q names construct(q); text is a form over GF(2)
+    if isinstance(spec, int):
+        return construct(spec)
+    return parse_bipoly(spec, parse_field_spec("q=2"))
+
+
+@pytest.mark.parametrize("spec", [2, 3, T42], ids=["construct-2", "construct-3", "T42"])
+def test_summarize_certifies_once(monkeypatch, spec):
+    calls = []
+    inner = bifill.analysis.certify_smooth
+
+    def counting(G):
+        calls.append(G)
+        return inner(G)
+
+    monkeypatch.setattr(bifill.cli, "certify_smooth", counting)
+    monkeypatch.setattr(bifill.analysis, "certify_smooth", counting)
+    bifill.cli._summarize(_form(spec))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec,want", [
+    (2, (True, "A")),
+    (3, (True, "A")),
+    (4, (True, "A")),
+    ("X0*Y0", (False, "B")),
+    # Smooth, but bi-degree (2,0) keeps route A out
+    ("X0^2 + X0*X1 + X1^2", (False, "B")),
+    ("X0*Y0^2 + X1*Y1^2", (True, "A")),
+], ids=["construct-2", "construct-3", "construct-4", "X0Y0", "conic-20", "X0Y0^2+X1Y1^2"])
+def test_summarize_irreducibility_matches_auto(spec, want):
+    F = _form(spec)
+    _, _, irr, method, _ = bifill.cli._summarize(F)
+    try:
+        res = is_abs_irreducible(F)
+        auto = res.irreducible, res.method
+    except Infeasible:
+        auto = None, None
+    assert (irr, method) == auto == want
 
 
 # -- argparse-level failures -----------------------------------------------------
