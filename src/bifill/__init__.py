@@ -78,7 +78,6 @@ from .geom import (
 from .gf import (
     Field,
     UniPoly,
-    embedding_map,
     extension_field,
     parse_field_spec,
     unipoly_factor,

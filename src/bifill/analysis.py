@@ -41,7 +41,6 @@ from .geom import (
 )
 from .gf import (
     UniPoly,
-    embedding_map,
     extension_field,
     unipoly_factor,
     unipoly_gcd,
@@ -182,20 +181,17 @@ def _chart_members(F, chart, orientation):
 def _root_in_splitting_field(K, mpoly):
     """(E, xbar): the degree-(deg m) extension and the least root of m."""
     E = extension_field(K, mpoly.degree)
-    roots = unipoly_roots(mpoly.map_field(E), E)
+    roots = unipoly_roots(mpoly, E)
     if not roots:
         raise AssertionError("irreducible factor has no root in its splitting field")
     return E, min(roots)
 
 
-def _substitute(members, K, E, xbar):
+def _substitute(members, E, xbar):
     """Specialize each member at x = xbar, giving y-polynomials over E."""
-    emap = embedding_map(K, E)
     out = []
     for mem in members:
-        coeffs = [
-            xp.map_field(E, emap).eval_at(xbar) for xp in mem.y_coeffs()
-        ]
+        coeffs = [xp.map_field(E).eval_at(xbar) for xp in mem.y_coeffs()]
         out.append(UniPoly(E, coeffs))
     return out
 
@@ -204,7 +200,7 @@ def _factor_verdict(members, K, mpoly):
     """Monic gcd in y of the system specialized at a root of m, or the
     formal certificate y when every member vanishes there."""
     E, xbar = _root_in_splitting_field(K, mpoly)
-    subs = [s for s in _substitute(members, K, E, xbar) if not s.is_zero()]
+    subs = [s for s in _substitute(members, E, xbar) if not s.is_zero()]
     if not subs:
         return UniPoly(E, (0, 1))  # any y: certify with the root y = 0
     G = subs[0].monic()
@@ -349,10 +345,10 @@ def witness_point(F, cert):
         return None
     w = cert.witness
     K = F.field
-    E, xbar = _root_in_splitting_field(K, w.modulus)
+    E, x0 = _root_in_splitting_field(K, w.modulus)
     roots = unipoly_roots(w.common, E)
     if roots:
-        L, x0, y0 = E, xbar, min(roots)
+        L, y0 = E, min(roots)
     else:
         factors = unipoly_factor(w.common)
         k = min(f.degree for f, _ in factors)
@@ -362,9 +358,7 @@ def witness_point(F, cert):
         if E.order**k > WITNESS_ORDER_CAP:
             return None
         L = extension_field(E, k)
-        emap = embedding_map(E, L)
-        x0 = emap[xbar]
-        y0 = min(unipoly_roots(mf.map_field(L, emap), L))
+        y0 = min(unipoly_roots(mf, L))
     if L.order > WITNESS_ORDER_CAP:
         return None
     if w.orientation == "x":
@@ -506,8 +500,6 @@ def conjugate_norms(field, a, b, k):
         return _NORM_CACHE[key]
     q = field.order
     L = extension_field(field, k)
-    emap = embedding_map(field, L)
-    inv = {v: i for i, v in enumerate(emap)}
     norms = set()
     for G in _proj_forms(L, a // k, b // k):
         N = G
@@ -515,9 +507,7 @@ def conjugate_norms(field, a, b, k):
         for _ in range(k - 1):
             H = BiPoly._raw(L, H.a, H.b, _frob_rows(L, H.rows, q))
             N = N * H
-        N = _canonical_scale(N)
-        rows = tuple(tuple(inv[c] for c in row) for row in N.rows)
-        norms.add(rows)
+        norms.add(_canonical_scale(N).rows)
     _NORM_CACHE[key] = frozenset(norms)
     return _NORM_CACHE[key]
 

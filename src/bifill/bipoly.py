@@ -31,7 +31,7 @@ from .errors import (
     ZeroDivisor,
     ZeroPolynomial,
 )
-from .gf import UniPoly, embedding_map, extension_field
+from .gf import UniPoly, extension_field
 
 __all__ = [
     "BiPoly",
@@ -199,12 +199,9 @@ class BiPoly:
         }
 
     def map_field(self, other):
-        """The same form read over an extension field."""
-        if other is self.field:
-            return self
-        emap = embedding_map(self.field, other)
-        rows = tuple(tuple(emap[c] for c in r) for r in self.rows)
-        return BiPoly._raw(other, self.a, self.b, rows)
+        """The same form read over extension_field(self.field, m)."""
+        self.field.check_lift(other)
+        return BiPoly._raw(other, self.a, self.b, self.rows)
 
     def __repr__(self):
         return self.text()
@@ -310,9 +307,9 @@ def _chart_rows(rows, a, b, chart):
 def eval_bipoly(F, point):
     """Evaluate at a PointPair or a raw 4-tuple of coordinate indices.
 
-    A PointPair over a declared extension of the owner lifts F to the pair's
-    field; a raw tuple is read over F.field. The result is an element index
-    of that field.
+    A PointPair over extension_field(F.field, m) lifts F to the pair's
+    field, and one over any other field raises NotASubfield; a raw tuple is
+    read over F.field. The result is an element index of that field.
     """
     if hasattr(point, "first"):
         return F.map_field(point.field).eval(*point.coords())
@@ -761,9 +758,8 @@ def resultant_elim(A, B, var):
     while K.order**k < need + lca.degree + lcb.degree:
         k += 1
     L = extension_field(K, k)
-    emap = embedding_map(K, L)
-    ca_l = [p.map_field(L, emap) for p in ca]
-    cb_l = [p.map_field(L, emap) for p in cb]
+    ca_l = [p.map_field(L) for p in ca]
+    cb_l = [p.map_field(L) for p in cb]
     q = K.order
     frob = L.pow_
     seen = bytearray(L.order)
@@ -792,14 +788,10 @@ def resultant_elim(A, B, var):
             break
     if len(xs) < need:
         raise AssertionError("extension field too small for interpolation")
-    coeffs_l = _newton_interp(L, xs[:need], ys[:need])
-    inv = {v: i for i, v in enumerate(emap)}
-    out = []
-    for c in coeffs_l:
-        if c not in inv:
-            raise AssertionError("resultant coefficient escaped the owner field")
-        out.append(inv[c])
-    return UniPoly(K, out)
+    coeffs = _newton_interp(L, xs[:need], ys[:need])
+    if any(c >= K.order for c in coeffs):
+        raise AssertionError("resultant coefficient escaped the owner field")
+    return UniPoly(K, coeffs)
 
 
 def _newton_interp(L, xs, ys):

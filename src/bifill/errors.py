@@ -14,7 +14,7 @@ class NotPrime(BifillError):
 
 
 class FieldMismatch(BifillError):
-    """Operands belong to different fields with no declared embedding."""
+    """Operands belong to different fields."""
 
 
 class DivisionByZero(BifillError, ZeroDivisionError):
@@ -22,7 +22,8 @@ class DivisionByZero(BifillError, ZeroDivisionError):
 
 
 class NotASubfield(BifillError):
-    """Requested embedding does not exist between the two fields."""
+    """The target field does not keep the source field's element indices:
+    it is not extension_field(source, m)."""
 
 
 class ZeroPolynomial(BifillError):

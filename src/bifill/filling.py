@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bipoly import BiPoly, binary_eval, homogenize
-from .errors import BidegreeTooSmall, NotFilling, ZeroPolynomial
-from .geom import enum_p1
+from .bipoly import BiPoly, homogenize
+from .errors import BidegreeTooSmall, NotFilling
+from .geom import count_points
 from .gf import UniPoly
 
 __all__ = [
@@ -39,16 +39,7 @@ def frobenius_forms(field):
 
 def is_filling(F):
     """True iff F vanishes at every rational point of P1xP1."""
-    if F.is_zero():
-        raise ZeroPolynomial("the zero polynomial does not define a curve")
-    L = F.field
-    coords = [P.coords() for P in enum_p1(L)]
-    for x0, x1 in coords:
-        coeffs = F.restrict(x0, x1)
-        for y0, y1 in coords:
-            if binary_eval(L, coeffs, y0, y1) != 0:
-                return False
-    return True
+    return count_points(F) == (F.field.order + 1) ** 2
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,7 @@ def count_points(F, m=1):
     """Rational point count of the zero set over the degree-m extension by
     full enumeration."""
     if F.is_zero():
-        raise ZeroPolynomial("zero polynomial has no curve")
+        raise ZeroPolynomial("the zero polynomial does not define a curve")
     if m < 1:
         raise BadParameters("extension degree must be >= 1")
     L = enumerable_extension(F.field, m)

@@ -9,9 +9,14 @@ digits (c0, c1, ..., c_{e-1}), constant digit first, gets the index
 
 The constant digit is the least significant one, so enumeration by index is
 the natural "counting" order: over GF(4) it reads 0, 1, w, w+1 where w is
-the class of t. Prime-field elements keep their usual integer values, and
-the prime constants 0..p-1 keep those indices in every extension built here,
-which makes several embeddings the identity on indices.
+the class of t. Prime-field elements keep their usual integer values.
+
+Lifting is relabelling. An element of K keeps its index in every extension
+extension_field(K, m) builds: the prime constants 0..p-1 keep theirs in
+every field of characteristic p, and a tower stores K's indices as its
+constant digit. So a polynomial over K is read over such an extension by
+changing its field alone (map_field), and any other target field raises
+NotASubfield.
 
 Multiplication, inversion and powering go through exp/log tables relative to
 a fixed generator (fields here stay small, a few thousand elements at most).
@@ -24,8 +29,7 @@ Other odd-characteristic fields use a flat order^2 table up to order 256 and
 Zech logarithms above it: zech[k] = log(1 + g^k), built once from the
 digitwise base-field addition, so a + b = g^(log a + zech[log b - log a]).
 
-Towers are capped at height 2: prime -> GF(q) -> GF(q^m). The second layer
-stores base-field indices as digits, so the base field embeds by identity.
+Towers are capped at height 2: prime -> GF(q) -> GF(q^m).
 
 The canonical modulus of an extension is the lexicographically smallest
 monic irreducible over the base, comparing coefficient tuples constant
@@ -58,7 +62,6 @@ __all__ = [
     "parse_field_spec",
     "prime_power",
     "field_for",
-    "embedding_map",
     "unipoly_gcd",
     "unipoly_is_irreducible",
     "unipoly_factor",
@@ -102,8 +105,6 @@ class Field:
         self.s = base.order if base is not None else p
         self.order = self.s**e
         self.modulus = modulus  # length e+1, base-field indices, monic
-        self.zero = 0
-        self.one = 1
         if e == 1 and base is None:
             self._modpoly = None
         else:
@@ -293,6 +294,17 @@ class Field:
             d["base"] = self.base.describe()
         return d
 
+    def check_lift(self, other):
+        """Raise NotASubfield unless every element of this field keeps its
+        index in other: other is this field, an extension built over it, or
+        any field of the same characteristic when this one is prime."""
+        prime = self.e == 1 and self.base is None
+        if other is self or other.base is self or (prime and other.p == self.p):
+            return
+        raise NotASubfield(
+            f"{self!r} lifts only into extension_field({self!r}, m), not {other!r}"
+        )
+
     def text_of(self, a):
         """Canonical element text: plain integer for prime fields, digit
         vector in brackets otherwise."""
@@ -435,67 +447,6 @@ def field_for(q):
         raise NotPrime(f"{q} is not a prime power")
     p, e = pe
     return extension_field(_prime_field(p), e)
-
-
-# -- embeddings ---------------------------------------------------------------
-
-_EMBED_CACHE = {}
-
-
-def _layers(field):
-    out = [field]
-    f = field
-    while f.base is not None:
-        f = f.base
-        out.append(f)
-    if out[-1].e > 1:
-        out.append(_prime_field(field.p))
-    return out
-
-
-def embedding_map(sub, sup):
-    """List mapping each sub index to its image index in sup.
-
-    The identity cases (prime constants, a tower over its own base) cost
-    nothing; the remaining supported case maps the generator of sub to the
-    enumeration-smallest root of sub's modulus in sup.
-    """
-    key = (id(sub), id(sup))
-    got = _EMBED_CACHE.get(key)
-    if got is not None:
-        return got
-    out = _build_embedding(sub, sup)
-    _EMBED_CACHE[key] = out
-    return out
-
-
-def _build_embedding(sub, sup):
-    if sub.p != sup.p:
-        raise NotASubfield("different characteristics")
-    if sub is sup or sub in _layers(sup):
-        return list(range(sub.order))
-    if sub.base is not None:
-        raise NotASubfield("no embedding rule for a tower source")
-    # Land in the top one-level layer; for a tower that is its base, whose
-    # indices are sup indices already.
-    target = sup.base if sup.base is not None else sup
-    if target.base is not None or target.e % sub.e != 0:
-        raise NotASubfield(f"{sub!r} does not embed in {sup!r}")
-    modulus = UniPoly(target, sub.modulus)  # prime coeffs are target indices
-    roots = sorted(unipoly_roots(modulus, target))
-    if not roots:
-        raise NotASubfield(f"{sub!r} does not embed in {sup!r}")
-    r = roots[0]
-    powers = [1]
-    for _ in range(sub.e - 1):
-        powers.append(target.mul(powers[-1], r))
-    out = []
-    for a in range(sub.order):
-        acc = 0
-        for c, rp in zip(sub.coeffs_of(a), powers):
-            acc = target.add(acc, target.mul(c, rp))
-        out.append(acc)
-    return out
 
 
 # -- univariate polynomials ---------------------------------------------------
@@ -666,13 +617,10 @@ class UniPoly:
             acc = F.add(F.mul(acc, x), c)
         return acc
 
-    def map_field(self, other, emap=None):
-        """Reinterpret over a larger field through an embedding map."""
-        if other is self.field:
-            return self
-        if emap is None:
-            emap = embedding_map(self.field, other)
-        return UniPoly._raw(other, tuple(emap[c] for c in self.coeffs))
+    def map_field(self, other):
+        """The same polynomial read over extension_field(self.field, m)."""
+        self.field.check_lift(other)
+        return UniPoly._raw(other, self.coeffs)
 
     def _check(self, other):
         if self.field is not other.field:
@@ -845,13 +793,12 @@ def _factor_monic(f, out, rng):
 
 
 def unipoly_roots(f, field):
-    """Zeros of f in the given field (the owner or an extension of it), as a
-    set of element indices: reduce to gcd(f, t^|field| - t), then split into
-    linear factors."""
+    """Zeros of f in the given field (the owner or extension_field(owner, m)),
+    as a set of element indices: reduce to gcd(f, t^|field| - t), then split
+    into linear factors."""
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has every root")
-    if field is not f.field:
-        f = f.map_field(field)
+    f = f.map_field(field)
     F = field
     x = UniPoly._raw(F, (0, 1))
     if f.degree >= 2:

@@ -120,7 +120,10 @@ def candidate_poly(basis, k):
 def candidate_index_of(F, basis):
     """Projective candidate index of F in the census order, or None when F
     is not a nonzero member of the span."""
-    if not basis or F.is_zero():
+    if not basis:
+        return None
+    F._check(basis[0])
+    if F.is_zero():
         return None
     K = F.field
     q = K.order

@@ -16,7 +16,7 @@ Frobenius orbit, sharing bifill's univariate resultant and interpolation.
 from bifill.analysis import is_abs_irreducible
 from bifill.bipoly import BiPoly, _newton_interp, _uni_resultant
 from bifill.errors import Infeasible
-from bifill.gf import UniPoly, embedding_map, extension_field
+from bifill.gf import UniPoly, extension_field
 
 # The minimal curve over GF(2), spelled out once and frozen.  construct(2)
 # and the parser must both reproduce it exactly.
@@ -147,8 +147,7 @@ def brute_point_count(F, m=1):
     """Projective pair count by enumerating affine coordinate 4-tuples and
     normalizing by hand."""
     E = extension_field(F.field, m)
-    if E is not F.field:
-        F = F.map_field(E)
+    F = F.map_field(E)
     n = E.order
 
     def classes():
@@ -269,9 +268,8 @@ def resultant_every_node(A, B, var):
     while K.order**k < need + ca[na].degree + cb[nb].degree:
         k += 1
     L = extension_field(K, k)
-    emap = embedding_map(K, L)
-    ca_l = [p.map_field(L, emap) for p in ca]
-    cb_l = [p.map_field(L, emap) for p in cb]
+    ca_l = [p.map_field(L) for p in ca]
+    cb_l = [p.map_field(L) for p in cb]
     xs, ys = [], []
     for xi in range(L.order):
         if ca_l[na].eval_at(xi) == 0 or cb_l[nb].eval_at(xi) == 0:
@@ -282,8 +280,7 @@ def resultant_every_node(A, B, var):
         ys.append(_uni_resultant(fa, fb))
         if len(xs) == need:
             break
-    inv = {v: i for i, v in enumerate(emap)}
-    return UniPoly(K, [inv[c] for c in _newton_interp(L, xs, ys)])
+    return UniPoly(K, _newton_interp(L, xs, ys))
 
 
 def classify_b_then_a(F):

@@ -205,6 +205,7 @@ CONSTRUCT_Q3 = (
     " + 2*X0*X1^3*Y0^4 + X0*X1^3*Y0^3*Y1 + 2*X0*X1^3*Y0*Y1^3"
     " + 2*X0*X1^3*Y1^4 + 2*X1^4*Y0^3*Y1 + X1^4*Y0*Y1^3"
 )
+SINGULAR_GF4_PAIR = "X0^2*Y0 + X0*X1*Y0 + X1^2*Y0"
 PINNED_JSON = {
     "census-q2-43": (
         ("census", "--q", "2", "--bidegree", "4,3", "--smooth"),
@@ -258,6 +259,14 @@ PINNED_JSON = {
     "verify-conic-20": (
         ("verify", "--q", "2", "--poly", "X0^2 + X0*X1 + X1^2"),
         "1497229eafcfa10763c3067fba416fe76f13dc3db3a8f94ff68792439ade02b5"),
+    # resultants in GF(81) built over GF(9) under a non-canonical modulus
+    "verify-construct3-p3e2-noncanonical": (
+        ("verify", "--field", "p=3,e=2,mod=[2,1,1]", "--poly", CONSTRUCT_Q3),
+        "948975452e04170e114863457259f71df7a820cb1ffc45e0e52364ec91f76ed8"),
+    # Singular at two conjugate points over GF(4): a degree-2 witness modulus
+    "verify-singular-gf4-pair": (
+        ("verify", "--q", "2", "--poly", SINGULAR_GF4_PAIR),
+        "094a46bd7a52f43f2a5b6044583542a394e5a51c539dcc7db9b2ee99df523e2d"),
 }
 
 
@@ -265,6 +274,12 @@ PINNED_JSON = {
 def test_json_output_is_pinned(capsys, argv, digest):
     _, out, _ = run(capsys, *argv, "--json")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pinned_singular_witness_lies_over_gf4(capsys):
+    _, doc, _ = run_json(capsys, "verify", "--q", "2", "--poly", SINGULAR_GF4_PAIR, "--json")
+    assert doc["smooth"] == "Singular"
+    assert len(doc["witness"]["modulus"]) - 1 == 2
 
 
 # -- the battery certifies once --------------------------------------------------

@@ -6,15 +6,16 @@ from hypothesis import strategies as st
 
 from _oracles import digit_add
 from bifill import gf
+from bifill.bipoly import eval_bipoly, parse_bipoly
 from bifill.errors import (
     BadParameters,
     DivisionByZero,
     NotASubfield,
     NotPrime,
 )
+from bifill.geom import PointPair, ProjPoint
 from bifill.gf import (
     UniPoly,
-    embedding_map,
     extension_field,
     field_for,
     field_with_modulus,
@@ -185,7 +186,7 @@ def test_division_by_zero_is_both_types(gf5):
         gf5.div(1, 0)
 
 
-# -- Frobenius and embeddings --------------------------------------------------
+# -- Frobenius and lifting -----------------------------------------------------
 
 @pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])
 def test_frobenius_fixed_subfield_count(q, m):
@@ -195,20 +196,35 @@ def test_frobenius_fixed_subfield_count(q, m):
     assert len(fixed) == q
 
 
-@pytest.mark.parametrize("q,m", [(2, 2), (3, 2), (4, 2), (9, 2)])
-def test_embedding_is_a_homomorphism(q, m):
-    K = field(q)
-    E = extension_field(K, m)
-    emap = embedding_map(K, E)
-    for a in range(K.order):
-        for b in range(K.order):
-            assert emap[K.add(a, b)] == E.add(emap[a], emap[b])
-            assert emap[K.mul(a, b)] == E.mul(emap[a], emap[b])
+# the last spec is GF(9) under the non-canonical modulus t^2 + t + 2
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("spec", ["q=2", "q=3", "q=4", "q=9", "p=3,e=2,mod=[2,1,1]"])
+def test_extension_keeps_every_index(spec, m):
+    K = parse_field_spec(spec)
+    L = extension_field(K, m)
+    for S in (K, field(K.p)):  # the prime field lifts into a tower too
+        f = UniPoly(S, range(S.order))
+        assert f.map_field(L).coeffs == f.coeffs
+        for a in range(S.order):
+            for b in range(S.order):
+                assert L.add(a, b) == S.add(a, b)
+                assert L.mul(a, b) == S.mul(a, b)
 
 
-def test_embedding_requires_subfield(gf4, gf9):
-    with pytest.raises(NotASubfield):
-        embedding_map(gf4, gf9)
+@pytest.mark.parametrize("spec", ["q=9", "q=16"])
+def test_lift_outside_extension_field_raises(gf4, spec):
+    L = parse_field_spec(spec)
+    f = UniPoly(gf4, [1, 2, 1])
+    F = parse_bipoly("X0*Y0 + [0,1]*X1*Y1", gf4)
+    P = ProjPoint(L, 1, 1)
+    for lift in (
+        lambda: f.map_field(L),
+        lambda: F.map_field(L),
+        lambda: eval_bipoly(F, PointPair(P, P)),
+        lambda: unipoly_roots(f, L),
+    ):
+        with pytest.raises(NotASubfield, match="extension_field"):
+            lift()
 
 
 # -- univariate polynomials ----------------------------------------------------

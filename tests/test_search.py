@@ -8,11 +8,11 @@ from _oracles import classify_b_then_a, filling_kernel_rows, rref_rank_mod_p
 from bifill import analysis, search
 from bifill.analysis import _proj_forms
 from bifill.bipoly import BiPoly
-from bifill.errors import BadParameters, Infeasible
+from bifill.errors import BadParameters, FieldMismatch, Infeasible
 from bifill.families import construct
 from bifill.filling import is_filling
 from bifill.geom import rational_pairs
-from bifill.gf import parse_field_spec
+from bifill.gf import extension_field, parse_field_spec
 from bifill.search import (
     candidate_index_of,
     candidate_poly,
@@ -109,6 +109,15 @@ def test_candidate_round_trip_spot_checks_344():
     basis = filling_space_basis(3, 4, 4)
     for k in (0, 1, 2218, 2219, 9840):
         assert candidate_index_of(candidate_poly(basis, k), basis) == k
+
+
+def test_candidate_index_needs_the_basis_field():
+    basis = filling_space_basis(2, 4, 3)
+    F = construct(2).map_field(extension_field(field(2), 2))
+    with pytest.raises(FieldMismatch):
+        candidate_index_of(F, basis)
+    with pytest.raises(FieldMismatch):
+        candidate_index_of(BiPoly.zero(F.field, 4, 3), basis)
 
 
 @pytest.mark.parametrize("q,a,b", [(2, 1, 2), (3, 1, 1), (4, 1, 1), (3, 0, 3)])
