@@ -13,13 +13,16 @@ irreducible factors m(x) are checked exactly: substitute a root of m over
 GF(q^deg m) into every member and take the monic gcd in y; positive degree
 certifies a singular point, and the (m, gcd) pair is the witness.
 
-Absolute irreducibility runs one of two routes. Route A: a smooth form with
-both bi-degree entries positive is irreducible over the closure, because on
-this surface two effective divisors whose bi-degrees are both nonzero in
-total meet (type pairing a1*b2 + a2*b1), and a meeting or repeated
-component forces a singular point. Route B is a direct search: a proper
-factor over GF(q), or, for GF(q)-irreducible forms, a conjugate-norm match
+Absolute irreducibility runs two routes. Route A: a smooth form with both
+bi-degree entries positive is irreducible over the closure, because on this
+surface two effective divisors whose bi-degrees are both nonzero in total
+meet (type pairing a1*b2 + a2*b1), and a meeting or repeated component
+forces a singular point. Route B is a direct search: a proper factor over
+GF(q), or, for GF(q)-irreducible forms, a conjugate-norm match
 F = G * G^sigma * ... over GF(q^k) for some k dividing gcd(a,b).
+is_abs_irreducible is the one place that orders them: its "auto" method
+tries the divisor cells of total degree at most 2, then route A, then the
+remaining divisor cells, then the conjugate-norm check.
 """
 
 from __future__ import annotations
@@ -604,19 +607,34 @@ def is_abs_irreducible(F, method="auto"):
     """True iff F is irreducible over the algebraic closure.
 
     method "A" uses the smoothness shortcut and abstains (Infeasible) when
-    the form is not certified smooth; method "B" searches for factors and
-    conjugate norms directly; "auto" tries A then falls back to B.
+    the form is not certified smooth; method "B" scans every divisor cell,
+    then checks conjugate norms. "auto" runs both, cheapest first: the
+    divisor cells of total degree at most 2, then A, then the remaining
+    cells, then the conjugate-norm check. When the divisor cells exceed
+    FACTOR_SEARCH_BUDGET, "auto" is A alone. Both routes are sound, so the
+    order changes the cost and never the verdict: a reducible form with
+    both bi-degree entries positive is never certified smooth.
     """
     if F.is_zero():
         raise ZeroPolynomial("the zero polynomial is not a curve")
     if method not in ("auto", "A", "B"):
         raise BadParameters(f"unknown method {method!r}")
-    if method in ("auto", "A"):
+    if method == "A":
         if smooth_proves_irreducible(F):
             return IrreducibilityResult(True, "A")
-        if method == "A":
-            raise Infeasible("smoothness shortcut cannot decide this form")
-    if find_factor(F) is not None:
+        raise Infeasible("smoothness shortcut cannot decide this form")
+    try:
+        scan = FactorScan(F)
+    except Infeasible:
+        if method == "auto" and smooth_proves_irreducible(F):
+            return IrreducibilityResult(True, "A")
+        raise
+    if method == "auto":
+        if scan.search(max_degree=2) is not None:
+            return IrreducibilityResult(False, "B")
+        if smooth_proves_irreducible(F):
+            return IrreducibilityResult(True, "A")
+    if scan.search() is not None:
         return IrreducibilityResult(False, "B")
     if not norm_search_fits(F):
         raise Infeasible("conjugate search exceeds the budget")

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .analysis import is_abs_irreducible
-from .errors import BadParameters, Infeasible
+from .errors import BadParameters
 from .geom import count_points
 from .gf import prime_power
 
@@ -59,24 +58,19 @@ def segre_degree(a, b):
     return a + b
 
 
-def check_attainment(F, irreducible=None):
+def check_attainment(F, irreducible):
     """Compare F's rational point count against the r=3 bound at its image
     degree.
 
-    irreducible: pass the already-established verdict to skip recomputation;
-    None means decide it here (hypotheses_met stays None if that is
-    infeasible).  attained=True is only meaningful when hypotheses_met is
-    True: reducible curves are outside the bound's scope."""
+    irreducible: the absolute-irreducibility verdict, reported as
+    hypotheses_met; None means undecided.  attained=True is only meaningful
+    when hypotheses_met is True: reducible curves are outside the bound's
+    scope."""
     a, b = F.bidegree
     q = F.field.order
     d = segre_degree(a, b)
     bound = space_curve_bound(q, 3, d)
     observed = count_points(F, 1)
-    if irreducible is None:
-        try:
-            irreducible = is_abs_irreducible(F).irreducible
-        except Infeasible:
-            irreducible = None
     return BoundReport(
         q=q,
         r=3,

@@ -33,7 +33,7 @@ from .errors import (
     SetupViolation,
 )
 from .families import construct
-from .filling import decompose, is_filling
+from .filling import decompose
 from .geom import count_points
 from .gf import field_for, parse_field_spec
 from .search import census, min_bidegree_scan
@@ -82,9 +82,10 @@ def _summarize(F):
 
     The smoothness certificate is taken once and reused as route A of
     absolute irreducibility (F smooth with both bi-degree entries positive);
-    only when it does not apply does method B run, as "auto" would.
+    only when it does not apply does method B run, as "auto" would.  The
+    points are counted once: F is filling when all (q+1)^2 rational pairs
+    are on it.
     """
-    filling = is_filling(F)
     cert = certify_smooth(F)
     if F.a >= 1 and F.b >= 1 and cert.verdict == "Smooth":
         irr, method = True, "A"
@@ -94,7 +95,8 @@ def _summarize(F):
             irr, method = res.irreducible, res.method
         except Infeasible:
             irr, method = None, None
-    report = check_attainment(F, irreducible=irr)
+    report = check_attainment(F, irr)
+    filling = report.observed == (F.field.order + 1) ** 2
     return filling, cert, irr, method, report
 
 

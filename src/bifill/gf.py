@@ -542,12 +542,6 @@ class UniPoly:
             return UniPoly._raw(F, ())
         return UniPoly._raw(F, tuple(F.mul(x, c) for x in self.coeffs))
 
-    def shift(self, k):
-        """Multiply by t^k."""
-        if not self.coeffs:
-            return self
-        return UniPoly._raw(self.field, (0,) * k + self.coeffs)
-
     def monic(self):
         if not self.coeffs:
             return self

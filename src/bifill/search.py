@@ -14,15 +14,12 @@ basis is row-reduced from those multiples directly.
 
 census walks the nonzero kernel vectors up to scalar (first nonzero
 coordinate normalized to 1, remaining coordinates in counting order) and
-classifies each form in stages, cheapest first.  Both deciders of
-analysis are sound, so the order never changes a verdict, only its cost:
-the factor search (method B) first tries the divisor cells of total degree
-at most 2.  When B could not prove the form irreducible anyway, because a
-conjugate-norm cell of the bi-degree is over budget, the smoothness
-certificate (method A) runs next, before the expensive cells.  Then the
-factor search resumes, and the conjugate-norm membership test finishes B
-when it fits its budget.  Whatever neither method decides lands in an
-explicit unknown bucket instead of a guessed verdict.
+classifies each form with analysis.is_abs_irreducible, which orders the
+two routes.  An irreducible form counts as smooth exactly when route A
+decided it: route B finds a form irreducible only after A has failed, and
+no filling form with a zero bi-degree entry is irreducible.  Whatever
+neither route decides lands in an explicit unknown bucket instead of a
+guessed verdict.
 min_bidegree_scan applies this cell by cell over a rectangle of
 bi-degrees, skipping cells with a <= q or b <= q, which carry no
 absolutely irreducible filling form at all (the obstruction behind
@@ -34,13 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .analysis import (
-    FactorScan,
-    certify_smooth,
-    is_conjugate_norm,
-    norm_search_fits,
-    smooth_proves_irreducible,
-)
+from .analysis import is_abs_irreducible
 from .bipoly import BiPoly, row_reduce
 from .errors import BadParameters, Infeasible
 from .filling import frobenius_forms, is_filling
@@ -185,35 +176,13 @@ class CensusReport:
 
 def _classify(F):
     """(verdict, smooth): verdict is 'irreducible', 'reducible' or
-    'unknown'; smooth is True when the verdict rests on a Smooth
-    certificate of F.
-
-    Stages, cheapest first, each reached only when the ones before it
-    decided nothing:
-    1. when the divisor cells exceed FACTOR_SEARCH_BUDGET, method A alone;
-    2. the divisor cells of total degree at most 2;
-    3. method A, only when a conjugate-norm cell is over budget, so that
-       method B could not prove F irreducible anyway;
-    4. the remaining divisor cells;
-    5. the conjugate-norm check when it fits, which decides;
-    6. otherwise unknown, method A having run at stage 3.
-    When the norm cells fit, as they always do for coprime bi-degrees,
-    this is method B alone, in its own order."""
+    'unknown' from is_abs_irreducible; smooth is True when route A, a
+    Smooth certificate of F, decided it."""
     try:
-        scan = FactorScan(F)
+        res = is_abs_irreducible(F)
     except Infeasible:
-        return ("irreducible", True) if smooth_proves_irreducible(F) else ("unknown", False)
-    if scan.search(max_degree=2) is not None:
-        return "reducible", False
-    if norm_search_fits(F):
-        if scan.search() is not None or is_conjugate_norm(F):
-            return "reducible", False
-        return "irreducible", False
-    if smooth_proves_irreducible(F):
-        return "irreducible", True
-    if scan.search() is not None:
-        return "reducible", False
-    return "unknown", False
+        return "unknown", False
+    return ("irreducible" if res.irreducible else "reducible"), res.method == "A"
 
 
 # Most candidates one census or scan cell may classify.
@@ -247,10 +216,10 @@ def census(q, a, b, smooth=False, exemplar_cap=8, part=None):
     """Classify every filling form of bi-degree (a,b) over GF(q) up to
     scalar.
 
-    smooth=True additionally certifies each irreducible candidate and tags
-    the non-smooth ones.  part=(k,n) scans only the k-th of n contiguous
-    slices of the candidate range; merge_reports glues slices back
-    together."""
+    smooth=True additionally tags the irreducible candidates that route A
+    did not decide as non-smooth.  part=(k,n) scans only the k-th of n
+    contiguous slices of the candidate range; merge_reports glues slices
+    back together."""
     K = field_for(q)
     basis, total = _filling_space(q, a, b)
     if part is None:
@@ -265,14 +234,14 @@ def census(q, a, b, smooth=False, exemplar_cap=8, part=None):
     exemplars = []
     n_smooth = 0
     singular_irr = []
-    for k, F, verdict, certified in _classified(K, a, b, basis, lo, hi):
+    for k, F, verdict, by_a in _classified(K, a, b, basis, lo, hi):
         if verdict == "irreducible":
             n_irr += 1
             irr_indices.append(k)
             if len(exemplars) < exemplar_cap:
                 exemplars.append(F)
             if smooth:
-                if certified or certify_smooth(F).verdict == "Smooth":
+                if by_a:
                     n_smooth += 1
                 else:
                     singular_irr.append(k)

@@ -6,11 +6,13 @@ of all four coordinates, point counts enumerate raw coordinate tuples, ranks
 come from a local row reduction over a prime field, cofactors from the
 linear system of G*H = F solved by a local Gauss-Jordan elimination, and
 resultants from fraction-free elimination on the literal Sylvester matrix.
-Two oracles are the exception and keep a former algorithm instead: the
+Three oracles are the exception and keep a former algorithm instead: the
 census classifier's runs method B in full and method A only when B is over
-budget, to check that the staged order gives every verdict unchanged, and
-resultant_every_node evaluates at every good node rather than once per
-Frobenius orbit, sharing bifill's univariate resultant and interpolation.
+budget, and auto_a_then_b runs method A before any of method B, to check
+that is_abs_irreducible's "auto" order gives every verdict and method
+unchanged; resultant_every_node evaluates at every good node rather than
+once per Frobenius orbit, sharing bifill's univariate resultant and
+interpolation.
 """
 
 from bifill.analysis import is_abs_irreducible
@@ -281,6 +283,15 @@ def resultant_every_node(A, B, var):
         if len(xs) == need:
             break
     return UniPoly(K, _newton_interp(L, xs, ys))
+
+
+def auto_a_then_b(F):
+    """is_abs_irreducible(F) in its former "auto" order: method A, then
+    method B in full, which raises Infeasible when it is over budget."""
+    try:
+        return is_abs_irreducible(F, method="A")
+    except Infeasible:
+        return is_abs_irreducible(F, method="B")
 
 
 def classify_b_then_a(F):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import T42, linear_divides
+from _oracles import T42, auto_a_then_b, linear_divides
+from bifill import analysis
 from bifill.analysis import (
     FactorScan,
     _proj_forms,
@@ -24,8 +25,9 @@ from bifill.bipoly import BiPoly, divides, eval_bipoly, parse_bipoly
 from bifill.errors import Infeasible, SetupViolation
 from bifill.families import _ruling_pair, construct, pair_curve
 from bifill.filling import frobenius_forms, is_filling
-from bifill.geom import rational_pairs
+from bifill.geom import projective_count, rational_pairs
 from bifill.gf import parse_field_spec
+from bifill.search import candidate_poly, filling_space_basis
 
 
 def field(q):
@@ -243,6 +245,61 @@ def test_find_factor_is_the_first_divisor_in_scan_order(F):
     if staged is None:
         staged = scan.search()
     assert staged == G
+
+
+def _decision(decide, F):
+    try:
+        res = decide(F)
+    except Infeasible:
+        return None
+    return res.irreducible, res.method
+
+
+def _candidates(q, a, b, part=None):
+    basis = filling_space_basis(q, a, b)
+    total = projective_count(q, len(basis))
+    k, n = part or (0, 1)
+    return [candidate_poly(basis, i) for i in range(k * total // n, (k + 1) * total // n)]
+
+
+def _assert_auto_matches_a_then_b(forms):
+    pairs = [(_decision(is_abs_irreducible, F), _decision(auto_a_then_b, F)) for F in forms]
+    assert [new for new, _ in pairs] == [old for _, old in pairs]
+    return [new for new, _ in pairs]
+
+
+@pytest.mark.parametrize("q,a,b,part", [
+    (2, 3, 3, None),
+    (2, 4, 3, None),
+    # slice 138 holds construct(3) at candidate 2219
+    (3, 4, 4, (138, 615)),
+])
+def test_auto_order_matches_a_then_b_on_census_candidates(q, a, b, part):
+    _assert_auto_matches_a_then_b(_candidates(q, a, b, part))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_auto_order_matches_a_then_b_with_a_zero_entry(q):
+    # route A never applies here; linear forms are irreducible by method B
+    forms = [F for cell in ((0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0))
+             for F in _proj_forms(field(q), *cell)]
+    got = _assert_auto_matches_a_then_b(forms)
+    assert set(got) == {(True, "B"), (False, "B")}
+
+
+@pytest.mark.parametrize("q,a,b,part,budget,undecided", [
+    # no divisor search fits: "auto" is route A alone
+    (2, 4, 3, (3, 16), 1, True),
+    # the divisor cells fit and the norm cells do not
+    (2, 3, 3, None, 500, False),
+    (2, 4, 4, (11, 512), 5000, True),
+])
+def test_auto_order_matches_a_then_b_past_the_budget(monkeypatch, q, a, b, part, budget,
+                                                      undecided):
+    forms = _candidates(q, a, b, part)
+    monkeypatch.setattr(analysis, "FACTOR_SEARCH_BUDGET", budget)
+    got = _assert_auto_matches_a_then_b(forms)
+    assert (None in got) == undecided
 
 
 def test_reducible_form_rejected_by_fast_scan(gf2):

@@ -10,7 +10,8 @@ from bifill.bounds import (
     segre_degree,
     space_curve_bound,
 )
-from bifill.errors import BadParameters
+from bifill.analysis import is_abs_irreducible
+from bifill.errors import BadParameters, Infeasible
 from bifill.families import construct, fiber_union
 from bifill.filling import frobenius_forms
 
@@ -64,15 +65,25 @@ def test_segre_degree():
 
 # -- attainment reports ----------------------------------------------------------
 
+def _verdict(F):
+    # the irreducibility verdict check_attainment reports; None when undecided
+    try:
+        return is_abs_irreducible(F).irreducible
+    except Infeasible:
+        return None
+
+
 def test_quartic_attains_the_bound(gf2):
-    rep = check_attainment(construct(2))
+    F = construct(2)
+    rep = check_attainment(F, _verdict(F))
     assert rep == BoundReport(
         q=2, r=3, d=7, bound=9, observed=9, attained=True, hypotheses_met=True
     )
 
 
 def test_square_family_misses_the_bound(gf3):
-    rep = check_attainment(construct(3))
+    F = construct(3)
+    rep = check_attainment(F, _verdict(F))
     assert (rep.bound, rep.observed) == (17, 16)
     assert not rep.attained
     assert rep.hypotheses_met is True
@@ -80,14 +91,16 @@ def test_square_family_misses_the_bound(gf3):
 
 def test_undecidable_hypotheses_become_none(gf5):
     KX, KY = frobenius_forms(gf5)
-    rep = check_attainment(KX * KY)
+    F = KX * KY
+    rep = check_attainment(F, _verdict(F))
     assert rep.hypotheses_met is None
     assert (rep.observed, rep.bound) == (36, 49)
     assert not rep.attained
 
 
 def test_reducible_baseline_reported(gf2):
-    rep = check_attainment(fiber_union(2))
+    F = fiber_union(2)
+    rep = check_attainment(F, _verdict(F))
     assert rep.hypotheses_met is False
     assert (rep.d, rep.bound, rep.observed) == (3, 4, 9)
     assert not rep.attained

@@ -7,7 +7,9 @@ import pytest
 
 from _oracles import T42, brute_point_count
 import bifill.analysis
+import bifill.bounds
 import bifill.cli
+import bifill.filling
 from bifill.analysis import is_abs_irreducible
 from bifill.bipoly import parse_bipoly
 from bifill.cli import main
@@ -285,25 +287,46 @@ def test_pinned_singular_witness_lies_over_gf4(capsys):
 # -- the battery certifies once --------------------------------------------------
 
 def _form(spec):
-    # an int q names construct(q); text is a form over GF(2)
+    # an int q names construct(q); text is a form over GF(2), or over GF(q)
+    # when given as (q, text)
     if isinstance(spec, int):
         return construct(spec)
-    return parse_bipoly(spec, parse_field_spec("q=2"))
+    q, text = spec if isinstance(spec, tuple) else (2, spec)
+    return parse_bipoly(text, parse_field_spec(f"q={q}"))
 
 
-@pytest.mark.parametrize("spec", [2, 3, T42], ids=["construct-2", "construct-3", "T42"])
-def test_summarize_certifies_once(monkeypatch, spec):
-    calls = []
-    inner = bifill.analysis.certify_smooth
+# KX*KY over GF(5): not smooth, and method B is over budget
+KXKY_GF5 = (5, "X0^5*X1*Y0^5*Y1 + 4*X0^5*X1*Y0*Y1^5 + 4*X0*X1^5*Y0^5*Y1 + X0*X1^5*Y0*Y1^5")
 
-    def counting(G):
-        calls.append(G)
-        return inner(G)
 
-    monkeypatch.setattr(bifill.cli, "certify_smooth", counting)
-    monkeypatch.setattr(bifill.analysis, "certify_smooth", counting)
-    bifill.cli._summarize(_form(spec))
-    assert len(calls) == 1
+@pytest.mark.parametrize("spec,decisions", [
+    (2, 0), (3, 0), (T42, 0), (KXKY_GF5, 1),
+], ids=["construct-2", "construct-3", "T42", "KXKY-gf5"])
+def test_summarize_certifies_once(monkeypatch, spec, decisions):
+    # one certificate, one point count, and is_abs_irreducible only when
+    # the certificate is not route A
+    calls = {"certify_smooth": 0, "is_abs_irreducible": 0, "count_points": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in [
+        (bifill.analysis, "certify_smooth"),
+        (bifill.cli, "certify_smooth"),
+        (bifill.cli, "is_abs_irreducible"),
+        (bifill.bounds, "count_points"),
+        (bifill.filling, "count_points"),
+    ]:
+        monkeypatch.setattr(module, name, counting(module, name))
+    _, _, irr, _, _ = bifill.cli._summarize(_form(spec))
+    assert calls == {"certify_smooth": 1, "is_abs_irreducible": decisions, "count_points": 1}
+    assert irr is (None if decisions else True)
 
 
 @pytest.mark.parametrize("spec,want", [

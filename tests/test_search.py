@@ -6,7 +6,7 @@ import pytest
 
 from _oracles import classify_b_then_a, filling_kernel_rows, rref_rank_mod_p
 from bifill import analysis, search
-from bifill.analysis import _proj_forms
+from bifill.analysis import _proj_forms, certify_smooth
 from bifill.bipoly import BiPoly
 from bifill.errors import BadParameters, FieldMismatch, Infeasible
 from bifill.families import construct
@@ -216,10 +216,17 @@ def test_census_part_validation(gf2):
 
 # -- the staged classifier against the B-then-A order -----------------------------
 
+def _b_then_a_certified(F):
+    # the census takes smoothness from the classifier, so the oracle
+    # certifies its own irreducibles
+    verdict = classify_b_then_a(F)
+    return verdict, verdict == "irreducible" and certify_smooth(F).verdict == "Smooth"
+
+
 def _against_b_then_a(monkeypatch, q, a, b, part=None):
     staged = census(q, a, b, smooth=True, part=part)
     with monkeypatch.context() as m:
-        m.setattr(search, "_classify", lambda F: (classify_b_then_a(F), False))
+        m.setattr(search, "_classify", _b_then_a_certified)
         oracle = census(q, a, b, smooth=True, part=part)
     assert staged.to_json() == oracle.to_json()
     assert staged.exemplar_cap == oracle.exemplar_cap
@@ -257,16 +264,16 @@ def test_staged_census_matches_b_then_a_past_the_norm_budget(monkeypatch, q, a, 
 
 
 def test_smooth_census_certifies_each_irreducible_once(monkeypatch):
-    # the staged classifier already certified these irreducibles smooth
+    # route A certified these irreducibles smooth, and the census reuses
+    # that verdict
     calls = []
-    certify_smooth = analysis.certify_smooth
+    inner = analysis.certify_smooth
 
     def counted(F):
         calls.append(F)
-        return certify_smooth(F)
+        return inner(F)
 
     monkeypatch.setattr(analysis, "certify_smooth", counted)
-    monkeypatch.setattr(search, "certify_smooth", counted)
     reps = [census(3, 4, 4, smooth=True, part=(k, 615)) for k in (138, 139, 156)]
     assert [r.n_irreducible for r in reps] == [2, 5, 1]
     assert [r.n_smooth for r in reps] == [2, 5, 1]
@@ -315,3 +322,18 @@ def test_census_344_golden(gf3):
     assert k in rep.irreducible_indices
     doc = json.dumps(rep.to_json(), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == CENSUS_344_SHA256
+
+
+# SHA-256 of json.dumps(census(3, 4, 5, smooth=True, part=(12345, 20000))
+# .to_json(), sort_keys=True), recorded when coprime bi-degrees ran method B
+# alone and the census certified each irreducible afterwards
+CENSUS_345_SLICE_SHA256 = "1a8163bfd9fc4b4da7db1c3befbb7a7ef4eb31b60d13bfea07e2d45cdd3ba9ae"
+
+
+def test_coprime_census_slice_over_gf3_golden(gf3):
+    # route A runs between the divisor cells on a coprime bi-degree too
+    rep = census(3, 4, 5, smooth=True, part=(12345, 20000))
+    assert (rep.candidates_scanned, rep.n_irreducible, rep.n_smooth, rep.n_unknown) == (
+        120, 55, 53, 0)
+    doc = json.dumps(rep.to_json(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == CENSUS_345_SLICE_SHA256
