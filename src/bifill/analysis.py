@@ -234,7 +234,7 @@ def _certify_chart(K, members, chart, orientation, trace):
     ypos = []
     for mem in members:
         if mem.deg_y == 0:
-            xonly.append(mem.as_unipoly("x"))
+            xonly.append(mem.as_unipoly())
         else:
             ypos.append(mem)
     D = None
@@ -263,7 +263,7 @@ def _certify_chart(K, members, chart, orientation, trace):
         if D is not None and D.degree == 0:
             break
         for j in range(i + 1, len(ypos)):
-            R = resultant_elim(ypos[i], ypos[j], "y")
+            R = resultant_elim(ypos[i], ypos[j])
             trace.append(
                 {"chart": chart, "orientation": orientation,
                  "pair": [i, j],
@@ -299,19 +299,14 @@ def certify_smooth(F):
     trace = []
     inconclusive = False
     for chart in CHARTS:
-        decided = False
         for orientation in ("y", "x"):
             members = _chart_members(F, chart, orientation)
-            if not members:
-                decided = True  # cannot happen for nonzero F; keep safe
-                break
             state, witness = _certify_chart(K, members, chart, orientation, trace)
             if state == "singular":
                 return SmoothCertificate("Singular", witness, tuple(trace))
             if state == "smooth":
-                decided = True
                 break
-        if not decided:
+        else:
             inconclusive = True
     if inconclusive:
         return SmoothCertificate("Inconclusive", None, tuple(trace))

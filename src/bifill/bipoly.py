@@ -3,8 +3,9 @@
 A form of bi-degree (a,b) is stored as an (a+1) x (b+1) matrix of element
 indices; entry [i][j] multiplies X0^(a-i) X1^i Y0^(b-j) Y1^j. The zero
 polynomial is representable at every declared bi-degree, and bi-homogeneity
-is structural. Affine chart polynomials keep their matrices trimmed so the
-declared degrees are the actual ones.
+is structural. Affine chart polynomials are read-only views of a form in
+one chart, for the smoothness certificate and the resultants; their
+matrices are trimmed so the declared degrees are the actual ones.
 
 Text grammar:  poly := term ('+' term)*
                term := [coeff '*'] factor ('*' factor)*
@@ -317,9 +318,10 @@ def eval_bipoly(F, point):
 
 
 class AffinePoly:
-    """Bivariate chart polynomial; [i][j] multiplies x^i y^j; the stored
-    matrix is trimmed so deg_x, deg_y are exact (the zero polynomial is the
-    1 x 1 zero matrix)."""
+    """Read-only bivariate chart polynomial; [i][j] multiplies x^i y^j; the
+    stored matrix is trimmed so deg_x, deg_y are exact (the zero polynomial
+    is the 1 x 1 zero matrix). Certificates and resultants read it; all
+    arithmetic happens on forms (BiPoly) and coefficients (UniPoly)."""
 
     __slots__ = ("field", "deg_x", "deg_y", "rows")
 
@@ -338,10 +340,6 @@ class AffinePoly:
         self.deg_y = w - 1
         self.rows = tuple(tuple(r) for r in rows)
 
-    @classmethod
-    def zero(cls, field):
-        return cls(field, [[0]])
-
     def is_zero(self):
         return self.deg_x == 0 and self.deg_y == 0 and self.rows[0][0] == 0
 
@@ -355,42 +353,9 @@ class AffinePoly:
     def __hash__(self):
         return hash((id(self.field), self.rows))
 
-    def _check(self, other):
-        if self.field is not other.field:
-            raise FieldMismatch("polynomials over different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        F = self.field
-        nx = max(self.deg_x, other.deg_x)
-        ny = max(self.deg_y, other.deg_y)
-        rows = [[0] * (ny + 1) for _ in range(nx + 1)]
-        for i, r in enumerate(self.rows):
-            for j, c in enumerate(r):
-                rows[i][j] = c
-        for i, r in enumerate(other.rows):
-            for j, c in enumerate(r):
-                rows[i][j] = F.add(rows[i][j], c)
-        return AffinePoly(F, rows)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        F = self.field
-        return AffinePoly(F, [[F.neg(c) for c in r] for r in self.rows])
-
-    def __mul__(self, other):
-        self._check(other)
-        return AffinePoly(self.field, _convolve(self.field, self.rows, other.rows))
-
     def transpose(self):
         """Swap the roles of x and y."""
         return AffinePoly(self.field, _transpose_rows(self.rows))
-
-    def scale(self, c):
-        F = self.field
-        return AffinePoly(F, [[F.mul(x, c) for x in r] for r in self.rows])
 
     def eval_at(self, x, y):
         F = self.field
@@ -405,51 +370,11 @@ class AffinePoly:
             for j in range(self.deg_y + 1)
         ]
 
-    @classmethod
-    def from_y_coeffs(cls, field, polys):
-        nx = max((p.degree for p in polys if not p.is_zero()), default=0)
-        rows = [[0] * len(polys) for _ in range(nx + 1)]
-        for j, p in enumerate(polys):
-            for i, c in enumerate(p.coeffs):
-                rows[i][j] = c
-        return cls(field, rows)
-
-    def as_unipoly(self, var):
-        """Convert to a univariate polynomial when the other degree is 0."""
-        P = self if var == "x" else self.transpose()
-        if P.deg_y != 0:
-            raise BadShape("polynomial still involves " + ("y" if var == "x" else "x"))
-        return UniPoly(self.field, [r[0] for r in P.rows])
-
-    def divmod_uni(self, m, var):
-        """Long division by a univariate polynomial in var with invertible
-        leading coefficient; returns (quotient, remainder)."""
-        if var == "x":
-            quot, rem = self.transpose().divmod_uni(m, "y")
-            return quot.transpose(), rem.transpose()
-        F = self.field
-        if m.is_zero():
-            raise ZeroDivisor("division by the zero polynomial")
-        dm = m.degree
-        if dm == 0:
-            return self.scale(F.inv(m.coeffs[0])), AffinePoly.zero(F)
-        cols = self.y_coeffs()
-        inv_lc = F.inv(m.lc())
-        quot = [UniPoly(F, ()) for _ in range(max(len(cols) - dm, 0))]
-        work = list(cols)
-        for i in range(len(work) - 1, dm - 1, -1):
-            piece = work[i]
-            if piece.is_zero():
-                continue
-            qc = piece.scale(inv_lc)
-            quot[i - dm] = qc
-            for k, mc in enumerate(m.coeffs):
-                if mc:
-                    work[i - dm + k] = work[i - dm + k] - qc.scale(mc)
-        rem = work[:dm] if dm <= len(work) else work
-        qpoly = AffinePoly.from_y_coeffs(F, quot) if quot else AffinePoly.zero(F)
-        rpoly = AffinePoly.from_y_coeffs(F, rem) if rem else AffinePoly.zero(F)
-        return qpoly, rpoly
+    def as_unipoly(self):
+        """The x-polynomial of a chart polynomial free of y."""
+        if self.deg_y != 0:
+            raise BadShape("polynomial still involves y")
+        return UniPoly(self.field, [r[0] for r in self.rows])
 
     def text(self):
         return _text(self.field, self.rows, lambda i, j: _power("x", i) + _power("y", j))
@@ -715,9 +640,9 @@ def _uni_resultant(a, b):
         a, b = b, r
 
 
-def resultant_elim(A, B, var):
-    """Resultant of two chart polynomials eliminating var; the result is a
-    univariate polynomial in the other variable over the owner field.
+def resultant_elim(A, B):
+    """Resultant of two chart polynomials eliminating y: a univariate
+    polynomial in x over the owner field. Transpose both to eliminate x.
 
     Computed as the exact Sylvester determinant by evaluation at enough
     points of an extension field L of the owner field K and interpolation
@@ -734,23 +659,12 @@ def resultant_elim(A, B, var):
     """
     if A.is_zero() or B.is_zero():
         raise ZeroPolynomial("resultant of the zero polynomial")
-    A._check(B)
+    if A.field is not B.field:
+        raise FieldMismatch("polynomials over different fields")
     K = A.field
-    if var == "x":
-        # reuse the y-elimination path with the roles of x and y swapped
-        return resultant_elim(A.transpose(), B.transpose(), "y")
-    if var != "y":
-        raise ValueError(f"unknown variable {var!r}")
     ca = A.y_coeffs()
     cb = B.y_coeffs()
     na, nb = A.deg_y, B.deg_y
-    if na == 0 or nb == 0:
-        # Res(c, B) = c^deg B for a constant c in y, and Res(A, c) = c^deg A
-        base, n = (ca[0], nb) if na == 0 else (cb[0], na)
-        out = UniPoly(K, (1,))
-        for _ in range(n):
-            out = out * base
-        return out
     lca, lcb = ca[na], cb[nb]
     bound = na * B.deg_x + nb * A.deg_x
     need = bound + 1

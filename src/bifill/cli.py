@@ -206,7 +206,7 @@ def cmd_decompose(args):
 
 def cmd_census(args):
     a, b = args.bidegree
-    report = census(args.q, a, b, smooth=args.smooth, exemplar_cap=args.exemplars)
+    report = census(args.q, a, b, smooth=args.smooth)
     doc = {"command": "census", **report.to_json()}
     lines = [
         f"census q={args.q} bi-degree ({a},{b}): dimension {report.space_dimension}, "
@@ -336,7 +336,6 @@ def _build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--bidegree", type=_bidegree_arg, required=True, metavar="A,B")
     p.add_argument("--smooth", action="store_true", help="certify irreducible candidates")
-    p.add_argument("--exemplars", type=int, default=8)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("scan", parents=[common], help="minimal bi-degree existence table")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bipoly import BiPoly, homogenize
+from .bipoly import BiPoly
 from .errors import BidegreeTooSmall, NotFilling
 from .geom import count_points
 from .gf import UniPoly
@@ -56,6 +56,11 @@ class Decomposition:
         return self.recombine() == F
 
 
+def _padded(p, n):
+    """The n coefficients of p, constant first, padded with zeros."""
+    return p.coeffs + (0,) * (n - len(p.coeffs))
+
+
 def _homog_y(field, coeffs, deg):
     """Degree-deg form in (Y0,Y1) from low-first coefficients (entry j is
     the Y1^j coefficient)."""
@@ -66,9 +71,12 @@ def _homog_y(field, coeffs, deg):
 
 
 def decompose(F):
-    """Split a filling form as f*kx + g*ky, tracing the constructive proof:
-    reduce the chart polynomial modulo x^q-x then y^q-y, rehomogenize, and
-    peel the two boundary rows into exactly divisible univariate pieces."""
+    """Split a filling form as f*kx + g*ky, tracing the constructive proof.
+
+    F's matrix is its X0Y0 chart polynomial, entry [i][j] on x^i y^j.
+    Dividing its columns and then the remainder's rows by t^q - t gives
+    F = U*(x - x^q) + V*(y - y^q); the boundary row of U and column of V
+    are then peeled into exactly divisible univariate pieces."""
     K = F.field
     q = K.order
     a, b = F.a, F.b
@@ -78,22 +86,21 @@ def decompose(F):
         raise BidegreeTooSmall(f"bi-degree ({a},{b}) cannot split at q={q}")
     KX, KY = frobenius_forms(K)
 
-    # chart identity: phi = u*(x - x^q) + v*(y - y^q)
-    phi = F.dehomogenize("X0Y0")
-    mx = UniPoly(K, [0, K.neg(1)] + [0] * (q - 2) + [1])  # x^q - x
+    # divide each column of F's chart matrix by t^q - t, then each row of
+    # the remainder: F = U*MX + V*MY against the degree-q halves
+    # MX = X0^(q-1)*X1 - X1^q and MY = Y0^(q-1)*Y1 - Y1^q, with U at
+    # bi-degree (a-q, b) and V at (a, b-q)
+    mx = UniPoly(K, [0, K.neg(1)] + [0] * (q - 2) + [1])  # t^q - t
     my = mx
-    uq, rem = phi.divmod_uni(mx, "x")
-    vq, rem2 = rem.divmod_uni(my, "y")
-    if not rem2.is_zero():
-        raise AssertionError("filling form failed chart reduction")
-    u = -uq
-    v = -vq
-
-    # rehomogenize against the degree-q halves MX = X0^(q-1)*X1 - X1^q and
-    # MY = Y0^(q-1)*Y1 - Y1^q, so F = U*MX + V*MY at bi-degrees (a-q, b)
-    # and (a, b-q)
-    U = homogenize(u, a - q, b)
-    V = homogenize(v, a, b - q)
+    cols = [UniPoly(K, col).divmod_poly(mx) for col in zip(*F.rows)]
+    U = BiPoly(K, a - q, b, zip(*(_padded(-uq, a - q + 1) for uq, _ in cols)))
+    vrows = [(0,) * (b - q + 1)] * (a + 1)
+    for i, row in enumerate(zip(*(_padded(r, q) for _, r in cols))):
+        vq, r = UniPoly(K, row).divmod_poly(my)
+        if not r.is_zero():
+            raise AssertionError("filling form failed chart reduction")
+        vrows[i] = _padded(-vq, b - q + 1)
+    V = BiPoly(K, a, b - q, vrows)
 
     # the X1^(a-q) boundary row of U is a Y-form vanishing at all (1:t);
     # peel its exact MY cofactor

@@ -165,15 +165,23 @@ def projective_vectors(s, n, start=0):
     leading 1 runs left to right, and behind it the remaining coordinates
     count up base s with the last one fastest."""
     for lead in range(n):
-        block = s ** (n - lead - 1)
-        if start >= block:
-            start -= block
+        m = n - lead - 1
+        if start >= s**m:
+            start -= s**m
             continue
-        head = (0,) * lead + (1,)
-        tails = itertools.product(range(s), repeat=n - lead - 1)
-        for tail in itertools.islice(tails, start, None):
-            yield head + tail
-        start = 0
+        digits = []
+        for _ in range(m):
+            start, d = divmod(start, s)
+            digits.append(d)
+        first = (0,) * lead + (1,) + tuple(reversed(digits))
+        yield first
+        # count on from first: raise one position, then run every position
+        # behind it through all values
+        for pos in range(n - 1, lead, -1):
+            for x in range(first[pos] + 1, s):
+                head = first[:pos] + (x,)
+                for rest in itertools.product(range(s), repeat=n - pos - 1):
+                    yield head + rest
 
 
 def projective_index(v, s):

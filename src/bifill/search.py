@@ -135,6 +135,10 @@ def candidate_index_of(F, basis):
 
 # -- census --------------------------------------------------------------------
 
+# Most irreducible forms a census report keeps as exemplars.
+EXEMPLAR_CAP = 8
+
+
 @dataclass(frozen=True)
 class CensusReport:
     q: int
@@ -147,7 +151,6 @@ class CensusReport:
     irreducible_indices: Tuple[int, ...]
     exemplars: Tuple[BiPoly, ...]
     basis: Tuple[BiPoly, ...]
-    exemplar_cap: int  # most exemplars kept; not part of the JSON
     n_smooth: Optional[int] = None
     singular_irreducible_indices: Optional[Tuple[int, ...]] = None
     part: Optional[Tuple[int, int]] = None
@@ -212,7 +215,7 @@ def _classified(K, a, b, basis, lo, hi):
         yield (k, F, *_classify(F))
 
 
-def census(q, a, b, smooth=False, exemplar_cap=8, part=None):
+def census(q, a, b, smooth=False, part=None):
     """Classify every filling form of bi-degree (a,b) over GF(q) up to
     scalar.
 
@@ -238,7 +241,7 @@ def census(q, a, b, smooth=False, exemplar_cap=8, part=None):
         if verdict == "irreducible":
             n_irr += 1
             irr_indices.append(k)
-            if len(exemplars) < exemplar_cap:
+            if len(exemplars) < EXEMPLAR_CAP:
                 exemplars.append(F)
             if smooth:
                 if by_a:
@@ -260,7 +263,6 @@ def census(q, a, b, smooth=False, exemplar_cap=8, part=None):
         irreducible_indices=tuple(irr_indices),
         exemplars=tuple(exemplars),
         basis=tuple(basis),
-        exemplar_cap=exemplar_cap,
         n_smooth=n_smooth if smooth else None,
         singular_irreducible_indices=tuple(singular_irr) if smooth else None,
         part=part,
@@ -281,15 +283,14 @@ def merge_reports(reports):
     if any(r.part is None or r.part[1] != n for r in rs) or keys != [(k, n) for k in range(n)]:
         raise BadParameters(f"slices {keys} do not cover the range exactly once")
     for r in rs[1:]:
-        if (r.q, r.bidegree, r.space_dimension, r.basis, r.exemplar_cap) != (
+        if (r.q, r.bidegree, r.space_dimension, r.basis) != (
             head.q,
             head.bidegree,
             head.space_dimension,
             head.basis,
-            head.exemplar_cap,
         ) or (r.n_smooth is None) != (head.n_smooth is None):
             raise BadParameters("slices come from different censuses")
-    exemplars = [F for r in rs for F in r.exemplars][: head.exemplar_cap]
+    exemplars = [F for r in rs for F in r.exemplars][:EXEMPLAR_CAP]
     smooth = head.n_smooth is not None
     return CensusReport(
         q=head.q,
@@ -302,7 +303,6 @@ def merge_reports(reports):
         irreducible_indices=tuple(i for r in rs for i in r.irreducible_indices),
         exemplars=tuple(exemplars),
         basis=head.basis,
-        exemplar_cap=head.exemplar_cap,
         n_smooth=sum(r.n_smooth for r in rs) if smooth else None,
         singular_irreducible_indices=(
             tuple(i for r in rs for i in r.singular_irreducible_indices) if smooth else None

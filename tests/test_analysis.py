@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 
 import pytest
 from hypothesis import given
@@ -76,6 +78,19 @@ def test_singular_locus_of_fiber_product_is_the_rational_grid(gf2):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_constructed_curves_are_certified_smooth(q):
     assert certify_smooth(construct(q)).verdict == "Smooth"
+
+
+# SHA-256 of the certificates of construct(q), traces included: the order in
+# which each chart's pairs are eliminated and every resultant's degree
+CONSTRUCT_CERTIFICATES_SHA256 = "9dd58c33a5f5de779791f568864f73b3000904859fbac30dd59836ad5a6b758f"
+
+
+def test_construct_certificate_traces_are_pinned():
+    doc = json.dumps(
+        [certify_smooth(construct(q)).to_json() for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)],
+        sort_keys=True,
+    )
+    assert hashlib.sha256(doc.encode()).hexdigest() == CONSTRUCT_CERTIFICATES_SHA256
 
 
 # -- jacobian and reduced systems ------------------------------------------------

@@ -233,6 +233,13 @@ PINNED_JSON = {
     "decompose-T42": (
         ("decompose", "--q", "2", "--poly", T42),
         "86e8fda2783dc20d0f77fbc014dedaaf1e5f818a44db5f989279a71c88d98f37"),
+    # outside characteristic 2, where a sign slip in the splitting shows
+    "decompose-construct3": (
+        ("decompose", "--q", "3", "--poly", CONSTRUCT_Q3),
+        "ac637571c348f4e82d8cdc5617e1773b7f6d82e72a3e2e0251f40fab8b7b0eee"),
+    "decompose-construct4": (
+        ("decompose", "--q", "4", "--poly", CONSTRUCT_Q4),
+        "ee4a763c7b6affbedea0c3fe5c08183d263b9e75c4e2b1efdefea3de94b4d7c3"),
     "verify-T42": (
         ("verify", "--q", "2", "--poly", T42),
         "1c0d5f99a3ab41f7c347bd97d25e58d3c0299a507d0f210c55f0338b37ac5a47"),

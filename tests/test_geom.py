@@ -14,6 +14,9 @@ from bifill.geom import (
     count_points,
     enum_p1,
     fiber_forms,
+    projective_count,
+    projective_index,
+    projective_vectors,
     rational_pairs,
     segre,
 )
@@ -57,6 +60,15 @@ def test_enum_p1_size_and_distinctness(q):
 def test_p3point_normalizes(gf3):
     assert P3Point(gf3, (2, 1, 0, 2)).coords() == (1, 2, 0, 1)
     assert P3Point(gf3, (0, 0, 2, 1)).coords() == (0, 0, 1, 2)
+
+
+@pytest.mark.parametrize("s,n", [(2, 1), (2, 4), (3, 3), (4, 3), (5, 2), (3, 0)])
+def test_projective_vectors_start_anywhere(s, n):
+    full = list(projective_vectors(s, n))
+    assert len(full) == projective_count(s, n)
+    assert [projective_index(v, s) for v in full] == list(range(len(full)))
+    for start in range(len(full) + 2):
+        assert list(projective_vectors(s, n, start)) == full[start:]
 
 
 # -- rational pairs and rulings --------------------------------------------------

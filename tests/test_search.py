@@ -111,6 +111,14 @@ def test_candidate_round_trip_spot_checks_344():
         assert candidate_index_of(candidate_poly(basis, k), basis) == k
 
 
+def test_last_candidate_of_a_huge_space_round_trips():
+    # 1,270,932,914,164 candidates: reaching the last one must not walk them
+    basis = filling_space_basis(3, 5, 6)
+    total = (3 ** len(basis) - 1) // 2
+    assert total == 1_270_932_914_164
+    assert candidate_index_of(candidate_poly(basis, total - 1), basis) == total - 1
+
+
 def test_candidate_index_needs_the_basis_field():
     basis = filling_space_basis(2, 4, 3)
     F = construct(2).map_field(extension_field(field(2), 2))
@@ -203,12 +211,6 @@ def test_merge_rejects_mixed_censuses(gf2):
         merge_reports([census(2, 3, 3, part=(0, 2)), census(2, 4, 3, part=(1, 2))])
 
 
-def test_merge_rejects_mixed_exemplar_caps(gf2):
-    parts = [census(2, 3, 3, exemplar_cap=cap, part=(k, 2)) for k, cap in ((0, 8), (1, 4))]
-    with pytest.raises(BadParameters):
-        merge_reports(parts)
-
-
 def test_census_part_validation(gf2):
     with pytest.raises(BadParameters):
         census(2, 3, 3, part=(2, 2))
@@ -229,7 +231,6 @@ def _against_b_then_a(monkeypatch, q, a, b, part=None):
         m.setattr(search, "_classify", _b_then_a_certified)
         oracle = census(q, a, b, smooth=True, part=part)
     assert staged.to_json() == oracle.to_json()
-    assert staged.exemplar_cap == oracle.exemplar_cap
     return staged
 
 
