@@ -1,18 +1,19 @@
 """Rational points of P1 and P1xP1, the quadric embedding into P3, and
-exhaustive point counting for curves.
+point counting by fiber roots for curves.
 
 Points are kept normalized: a P1 point is (1:t) or (0:1), so membership
 checks and prints are canonical. Point counting restricts the form one
-ruling at a time, which keeps the inner loop univariate.
+ruling at a time and counts the distinct roots of each univariate
+restriction.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .bipoly import BiPoly, binary_eval
+from .bipoly import BiPoly
 from .errors import BadParameters, FieldMismatch, Infeasible, ZeroPolynomial
-from .gf import extension_field
+from .gf import UniPoly, extension_field, unipoly_linear_part
 
 __all__ = [
     "ProjPoint",
@@ -223,7 +224,9 @@ def segre(pair):
     )
 
 
-# Most points of P1xP1 one enumeration may visit.
+# Most points of P1xP1 one enumeration may visit. It also bounds the field a
+# count may use, though a count visits only the fibers, and a count over too
+# large a field raises the same Infeasible text.
 POINT_BUDGET = 10**8
 
 
@@ -239,22 +242,26 @@ def enumerable_extension(field, m):
 
 
 def count_points(F, m=1):
-    """Rational point count of the zero set over the degree-m extension by
-    full enumeration."""
+    """Rational point count of the zero set over the degree-m extension L,
+    fiber by fiber over the first component. A fiber where the restriction
+    vanishes holds all |L|+1 points. Otherwise it holds (0:1) when the top
+    coefficient is zero, plus deg gcd(g, t^|L| - t) affine points, g the
+    restriction at Y0 = 1: t^|L| - t is the squarefree product of t - a
+    over a in L, so that degree is the number of distinct roots of g in L.
+    """
     if F.is_zero():
         raise ZeroPolynomial("the zero polynomial does not define a curve")
     if m < 1:
         raise BadParameters("extension degree must be >= 1")
     L = enumerable_extension(F.field, m)
     G = F.map_field(L)
-    coords = [P.coords() for P in enum_p1(L)]
     total = 0
-    for x0, x1 in coords:
-        coeffs = G.restrict(x0, x1)
-        if all(c == 0 for c in coeffs):
-            total += len(coords)
+    for P in enum_p1(L):
+        coeffs = G.restrict(*P.coords())
+        if not any(coeffs):
+            total += L.order + 1
             continue
-        for y0, y1 in coords:
-            if binary_eval(L, coeffs, y0, y1) == 0:
-                total += 1
+        if coeffs[-1] == 0:
+            total += 1
+        total += unipoly_linear_part(UniPoly(L, coeffs)).degree
     return total

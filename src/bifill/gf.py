@@ -65,6 +65,7 @@ __all__ = [
     "unipoly_gcd",
     "unipoly_is_irreducible",
     "unipoly_factor",
+    "unipoly_linear_part",
     "unipoly_roots",
 ]
 
@@ -786,20 +787,25 @@ def _factor_monic(f, out, rng):
     _factor_monic(rest, out, rng)
 
 
-def unipoly_roots(f, field):
-    """Zeros of f in the given field (the owner or extension_field(owner, m)),
-    as a set of element indices: reduce to gcd(f, t^|field| - t), then split
-    into linear factors."""
+def unipoly_linear_part(f):
+    """Monic gcd(f, t^|K| - t) over f's own field K: the product of t - a
+    over the distinct roots a of f in K, so its degree counts them."""
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has every root")
-    f = f.map_field(field)
+    if f.degree < 2:
+        return f.monic()
+    K = f.field
+    x = UniPoly._raw(K, (0, 1))
+    h = x.powmod(K.order, f)  # t^|K| mod f
+    return unipoly_gcd(f, h - x)
+
+
+def unipoly_roots(f, field):
+    """Zeros of f in the given field (the owner or extension_field(owner, m)),
+    as a set of element indices: reduce to unipoly_linear_part(f) over that
+    field, then split into linear factors."""
     F = field
-    x = UniPoly._raw(F, (0, 1))
-    if f.degree >= 2:
-        h = x.powmod(F.order, f)  # t^|field| mod f
-        g = unipoly_gcd(h - x, f)
-    else:
-        g = f.monic()
+    g = unipoly_linear_part(f.map_field(F))
     roots = set()
     if g.degree >= 1:
         for piece, _m in unipoly_factor(g):

@@ -258,6 +258,10 @@ PINNED_JSON = {
     "construct-q7": (
         ("construct", "--q", "7"),
         "33e013d03b42d8151461db2ed83df9572c72873eb4ab30826e5f1feffa5ef6c5"),
+    # construct(2) is T42; the benchmark's larger count over GF(2)
+    "count-construct2-ext10": (
+        ("count", "--q", "2", "--poly", T42, "--ext", "10"),
+        "3ba8767cb923fc154b1165fcb03dcbbea42fdd88a7413c43dad52129bcbeea61"),
     "count-construct3-ext6": (
         ("count", "--q", "3", "--poly", CONSTRUCT_Q3, "--ext", "6"),
         "ed2483e7e9831443e97a652a76cf8e0611cd7e9584f3956b9266ecebba9ad683"),

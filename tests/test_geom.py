@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from _oracles import brute_point_count
 from bifill import geom, gf
@@ -138,6 +140,40 @@ def test_segre_is_injective(gf3):
 )
 def test_count_points_matches_brute_enumeration(text, q, m):
     F = parse_bipoly(text, field(q))
+    assert count_points(F, m) == brute_point_count(F, m)
+
+
+# (q, m): every extension of GF(2), GF(3), GF(4) and GF(9) with at most 81
+# elements, the towers GF(16/4), GF(64/4) and GF(81/9) among them
+COUNT_FIELDS = [(2, m) for m in range(1, 7)] + [(3, m) for m in range(1, 5)] + [
+    (4, 1), (4, 2), (4, 3), (9, 1), (9, 2),
+]
+
+
+@st.composite
+def counted_forms(draw):
+    """A nonzero form and an extension degree. Squares give fibers with
+    repeated roots, a ruling factor a whole vanishing fiber, a Y0 factor
+    the root (0:1); the plain forms include Y-degree 0 and 1."""
+    q, m = draw(st.sampled_from(COUNT_FIELDS))
+    K = field(q)
+    a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rows = [[draw(st.integers(0, q - 1)) for _ in range(b + 1)] for _ in range(a + 1)]
+    G = BiPoly(K, a, b, rows)
+    assume(not G.is_zero())
+    shape = draw(st.sampled_from(["plain", "square", "ruling", "Y0"]))
+    if shape == "square":
+        G = G * G
+    elif shape == "ruling":
+        G = G * fiber_forms(K)[draw(st.integers(0, q))]
+    elif shape == "Y0":
+        G = G * parse_bipoly("Y0", K)
+    return G, m
+
+
+@given(case=counted_forms())
+def test_count_points_matches_brute_enumeration_on_random_forms(case):
+    F, m = case
     assert count_points(F, m) == brute_point_count(F, m)
 
 

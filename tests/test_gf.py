@@ -23,6 +23,7 @@ from bifill.gf import (
     unipoly_factor,
     unipoly_gcd,
     unipoly_is_irreducible,
+    unipoly_linear_part,
     unipoly_roots,
 )
 
@@ -332,6 +333,23 @@ def test_roots_all_evaluate_to_zero(f):
     assert len(roots) <= max(f.degree, 0)
     for r in roots:
         assert f.eval_at(r) == 0
+
+
+@given(q=st.sampled_from([4, 8, 9]), data=st.data())
+def test_linear_part_counts_the_distinct_roots(q, data):
+    # repeated linear factors times a random cofactor: degrees on both
+    # sides of |K|, roots with multiplicity and cofactors without roots
+    K = field(q)
+    elements = st.integers(0, q - 1)
+    f = UniPoly(K, data.draw(st.lists(elements, min_size=1, max_size=5)))
+    for r in data.draw(st.lists(elements, max_size=7)):
+        f = f * upoly(K, K.neg(r), 1)
+    if f.is_zero():
+        return
+    g = unipoly_linear_part(f)
+    assert g.lc() == 1 and (f % g).is_zero()
+    assert g.degree == len(unipoly_roots(f, K))
+    assert g.degree == sum(f.eval_at(a) == 0 for a in range(q))
 
 
 def test_powmod_matches_repeated_multiplication(gf3):

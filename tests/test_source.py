@@ -87,3 +87,28 @@ def test_every_module_constant_is_read():
         }
     assert assigned
     assert [name for name in assigned if name.split(".")[1] not in read] == []
+
+
+def test_every_import_is_used():
+    # an import left behind by deleted code still reads as a dependency;
+    # a use is a loaded name anywhere in the module or an __all__ entry
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = [
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        used |= set(getattr(importlib.import_module(f"bifill.{path.stem}"), "__all__", ()))
+        unused += [f"{path.stem}.{name}" for name in imported if name not in used]
+    assert unused == []
