@@ -4,34 +4,30 @@ A curve is *filling* when its rational points are all of
 P1(GF(q)) x P1(GF(q)).  The package constructs the minimal-bi-degree
 smooth irreducible examples for every prime power, certifies their
 smoothness and absolute irreducibility in exact arithmetic, counts points,
-compares against the space-curve bound through the degree-(a+b) embedding
-into P3, and exhaustively classifies whole filling spaces at desk scale.
+compares each count against the space-curve bound at degree a+b, the
+degree of the curve's image in P3, and exhaustively classifies whole
+filling spaces at desk scale.  It exports what the commands use and what
+checks or reads their results; the slow reference implementations that
+the tests compare against are kept with the tests.
 """
 
 from .analysis import (
     IrreducibilityResult,
-    ReducedSystem,
     SmoothCertificate,
     Witness,
     certify_smooth,
-    common_zeros,
     conjugate_norms,
     find_factor,
     is_abs_irreducible,
     jacobian_system,
-    reduced_system,
-    singular_points,
     validate_setup,
     verify_witness,
-    witness_point,
 )
 from .bipoly import (
     CHARTS,
     AffinePoly,
     BiPoly,
     divides,
-    eval_bipoly,
-    homogenize,
     parse_bipoly,
     resultant_elim,
 )
@@ -56,25 +52,14 @@ from .errors import (
     ZeroDivisor,
     ZeroPolynomial,
 )
-from .families import FamilyParams, construct, fiber_union, pair_curve, pick_params
+from .families import FamilyParams, construct, pair_curve, pick_params
 from .filling import (
     Decomposition,
     decompose,
     frobenius_forms,
     is_filling,
-    min_bidegree_check,
 )
-from .geom import (
-    P3Point,
-    PointPair,
-    ProjPoint,
-    count_points,
-    enum_p1,
-    fiber_forms,
-    projective_count,
-    rational_pairs,
-    segre,
-)
+from .geom import count_points, projective_count
 from .gf import (
     Field,
     UniPoly,

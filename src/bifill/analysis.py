@@ -1,5 +1,5 @@
-"""Singularity analysis, the reduced partial-derivative system for paired
-ruling forms, and absolute irreducibility testing.
+"""Smoothness certificates, the setup check on paired ruling forms, and
+absolute irreducibility testing.
 
 The smoothness certificate works chart by chart. In each chart the system
 is the dehomogenized form together with its four partials (the form itself
@@ -32,16 +32,9 @@ from dataclasses import dataclass
 from math import gcd as int_gcd
 from typing import Optional
 
-from .bipoly import CHARTS, BiPoly, binary_eval, divides, resultant_elim
+from .bipoly import CHARTS, BiPoly, divides, resultant_elim
 from .errors import BadParameters, BadShape, Infeasible, ZeroPolynomial
-from .geom import (
-    PointPair,
-    ProjPoint,
-    enum_p1,
-    enumerable_extension,
-    projective_count,
-    projective_vectors,
-)
+from .geom import projective_count, projective_vectors
 from .gf import (
     UniPoly,
     extension_field,
@@ -57,11 +50,6 @@ __all__ = [
     "Witness",
     "certify_smooth",
     "verify_witness",
-    "witness_point",
-    "singular_points",
-    "common_zeros",
-    "ReducedSystem",
-    "reduced_system",
     "validate_setup",
     "IrreducibilityResult",
     "is_abs_irreducible",
@@ -77,57 +65,6 @@ def jacobian_system(F):
         F.partial("Y0"),
         F.partial("Y1"),
     )
-
-
-# -- exhaustive solving --------------------------------------------------------
-
-def common_zeros(forms, m=1):
-    """All points of P1xP1 over the degree-m extension where every given
-    form vanishes."""
-    if not forms:
-        raise BadParameters("empty system")
-    L = enumerable_extension(forms[0].field, m)
-    mapped = [f.map_field(L) for f in forms]
-    pts = enum_p1(L)
-    coords = [P.coords() for P in pts]
-    out = set()
-    for P, (x0, x1) in zip(pts, coords):
-        rests = [G.restrict(x0, x1) for G in mapped]
-        for Q, (y0, y1) in zip(pts, coords):
-            if all(binary_eval(L, r, y0, y1) == 0 for r in rests):
-                out.add(PointPair(P, Q))
-    return out
-
-
-def _min_subfield_degree(L, q, m, pair):
-    """Smallest m' dividing m with all four coordinates fixed by the
-    q^m'-power map."""
-    coords = pair.coords()
-    for mp in range(1, m):
-        if m % mp:
-            continue
-        e = q**mp
-        if all(L.pow_(c, e) == c for c in coords):
-            return mp
-    return m
-
-
-def singular_points(F, m_max=1):
-    """Singular points over GF(q^m) for all m <= m_max, each tagged with
-    the minimal extension degree containing it."""
-    if F.is_zero():
-        raise ZeroPolynomial("the zero polynomial does not define a curve")
-    if m_max < 1:
-        raise BadParameters("extension bound must be >= 1")
-    K = F.field
-    system = jacobian_system(F)
-    out = set()
-    for m in range(1, m_max + 1):
-        L = enumerable_extension(K, m)
-        for pair in common_zeros(system, m):
-            if _min_subfield_degree(L, K.order, m, pair) == m:
-                out.add((pair, m))
-    return out
 
 
 # -- smoothness certificate ------------------------------------------------------
@@ -330,51 +267,6 @@ def verify_witness(F, cert):
     return G == w.common and G.degree >= 1
 
 
-# Largest field witness_point builds a singular point over.
-WITNESS_ORDER_CAP = 6561
-
-
-def witness_point(F, cert):
-    """A concrete singular point rebuilt from a certificate: (pair, m)
-    over the smallest field housing a root of the modulus and of the
-    common divisor, or None when that field exceeds the supported tower
-    height or WITNESS_ORDER_CAP."""
-    if cert.verdict != "Singular":
-        return None
-    w = cert.witness
-    K = F.field
-    E, x0 = _root_in_splitting_field(K, w.modulus)
-    roots = unipoly_roots(w.common, E)
-    if roots:
-        L, y0 = E, min(roots)
-    else:
-        factors = unipoly_factor(w.common)
-        k = min(f.degree for f, _ in factors)
-        mf = next(f for f, _ in factors if f.degree == k)
-        if E.base is not None:
-            return None  # would need a third tower layer
-        if E.order**k > WITNESS_ORDER_CAP:
-            return None
-        L = extension_field(E, k)
-        y0 = min(unipoly_roots(mf, L))
-    if L.order > WITNESS_ORDER_CAP:
-        return None
-    if w.orientation == "x":
-        x0, y0 = y0, x0
-    chart = w.chart
-    u = (1, x0) if chart[:2] == "X0" else (x0, 1)
-    v = (1, y0) if chart[2:] == "Y0" else (y0, 1)
-    pair = PointPair(ProjPoint(L, *u), ProjPoint(L, *v))
-    degree = 1
-    while K.order**degree < L.order:
-        degree += 1
-    for form in jacobian_system(F):
-        G = form.map_field(L)
-        if G.eval(*pair.coords()) != 0:
-            return None
-    return pair, degree
-
-
 # -- paired ruling forms ----------------------------------------------------------
 
 def _require_ruling_shapes(f, g):
@@ -386,39 +278,6 @@ def _require_ruling_shapes(f, g):
         raise BadShape(f"second form must have bi-degree ({q + 1},0)")
     if f.is_zero() or g.is_zero():
         raise BadShape("ruling forms must be nonzero")
-
-
-@dataclass(frozen=True)
-class ReducedSystem:
-    e1: BiPoly
-    e2: BiPoly
-    e3: BiPoly
-    e4: BiPoly
-
-    def as_tuple(self):
-        return (self.e1, self.e2, self.e3, self.e4)
-
-
-def reduced_system(f, g):
-    """The four bi-degree (q,q) equations equivalent to the five-form
-    singularity system for a paired-ruling curve f*kx + g*ky."""
-    _require_ruling_shapes(f, g)
-    K = f.field
-    q = K.order
-    X0q = BiPoly.monomial(K, q, 0, 0, 0)
-    X1q = BiPoly.monomial(K, q, 0, q, 0)
-    Y0q = BiPoly.monomial(K, 0, q, 0, 0)
-    Y1q = BiPoly.monomial(K, 0, q, 0, q)
-    fy1 = f.partial("Y1")
-    fy0 = f.partial("Y0")
-    gx1 = g.partial("X1")
-    gx0 = g.partial("X0")
-    return ReducedSystem(
-        e1=X0q * fy1 + Y0q * gx1,
-        e2=X0q * fy0 - Y1q * gx1,
-        e3=X1q * fy1 - Y0q * gx0,
-        e4=X1q * fy0 + Y1q * gx0,
-    )
 
 
 def validate_setup(f, g):
@@ -592,10 +451,16 @@ def is_conjugate_norm(F):
     )
 
 
-def smooth_proves_irreducible(F):
+def smooth_proves_irreducible(F, cert=None):
     """Route A: whether F has both bi-degree entries positive and is
-    certified Smooth, which makes it irreducible over the closure."""
-    return F.a >= 1 and F.b >= 1 and certify_smooth(F).verdict == "Smooth"
+    certified Smooth, which makes it irreducible over the closure. cert,
+    when given, is F's certificate already taken; otherwise F is certified
+    here, and only when both entries are positive."""
+    if F.a < 1 or F.b < 1:
+        return False
+    if cert is None:
+        cert = certify_smooth(F)
+    return cert.verdict == "Smooth"
 
 
 def is_abs_irreducible(F, method="auto"):

@@ -38,8 +38,6 @@ __all__ = [
     "BiPoly",
     "AffinePoly",
     "parse_bipoly",
-    "eval_bipoly",
-    "homogenize",
     "divides",
     "resultant_elim",
 ]
@@ -305,18 +303,6 @@ def _chart_rows(rows, a, b, chart):
     return out
 
 
-def eval_bipoly(F, point):
-    """Evaluate at a PointPair or a raw 4-tuple of coordinate indices.
-
-    A PointPair over extension_field(F.field, m) lifts F to the pair's
-    field, and one over any other field raises NotASubfield; a raw tuple is
-    read over F.field. The result is an element index of that field.
-    """
-    if hasattr(point, "first"):
-        return F.map_field(point.field).eval(*point.coords())
-    return F.eval(*point)
-
-
 class AffinePoly:
     """Read-only bivariate chart polynomial; [i][j] multiplies x^i y^j; the
     stored matrix is trimmed so deg_x, deg_y are exact (the zero polynomial
@@ -381,15 +367,6 @@ class AffinePoly:
 
     def __repr__(self):
         return self.text()
-
-
-def homogenize(aff, a, b, chart="X0Y0"):
-    """Inverse of dehomogenize at a declared bi-degree (a,b)."""
-    if aff.deg_x > a or aff.deg_y > b:
-        raise BidegreeMismatch(
-            f"chart degrees ({aff.deg_x},{aff.deg_y}) exceed target ({a},{b})"
-        )
-    return BiPoly(aff.field, a, b, _chart_rows(aff.rows, a, b, chart))
 
 
 # -- parsing -------------------------------------------------------------------

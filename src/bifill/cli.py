@@ -23,7 +23,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .analysis import certify_smooth, is_abs_irreducible
+from .analysis import certify_smooth, is_abs_irreducible, smooth_proves_irreducible
 from .bipoly import parse_bipoly
 from .bounds import check_attainment, space_curve_bound
 from .errors import (
@@ -81,13 +81,13 @@ def _summarize(F):
     bound attainment.
 
     The smoothness certificate is taken once and reused as route A of
-    absolute irreducibility (F smooth with both bi-degree entries positive);
-    only when it does not apply does method B run, as "auto" would.  The
+    absolute irreducibility (analysis.smooth_proves_irreducible); only
+    when it does not apply does method B run, as "auto" would.  The
     points are counted once: F is filling when all (q+1)^2 rational pairs
     are on it.
     """
     cert = certify_smooth(F)
-    if F.a >= 1 and F.b >= 1 and cert.verdict == "Smooth":
+    if smooth_proves_irreducible(F, cert):
         irr, method = True, "A"
     else:
         try:

@@ -103,8 +103,3 @@ def construct(q, transposed=False):
         F = pair_curve(f, g)
     return F.transpose() if transposed else F
 
-
-def fiber_union(q):
-    """The union of the q+1 rational horizontal fibers: filling, reducible,
-    every component smooth.  Bi-degree (0, q+1)."""
-    return frobenius_forms(field_for(q))[1]

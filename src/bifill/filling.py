@@ -22,7 +22,6 @@ __all__ = [
     "is_filling",
     "Decomposition",
     "decompose",
-    "min_bidegree_check",
 ]
 
 
@@ -143,11 +142,3 @@ def decompose(F):
         raise AssertionError("recombination failed")
     return out
 
-
-def min_bidegree_check(F, irreducible):
-    """Diagnostic for the degree floor: an irreducible filling form cannot
-    have either bi-degree entry below q+1."""
-    q = F.field.order
-    if irreducible and (F.a < q + 1 or F.b < q + 1):
-        return "Contradiction"
-    return "Consistent"

@@ -1,158 +1,21 @@
-"""Rational points of P1 and P1xP1, the quadric embedding into P3, and
-point counting by fiber roots for curves.
+"""Projective enumeration and point counting by fiber roots for curves.
 
-Points are kept normalized: a P1 point is (1:t) or (0:1), so membership
-checks and prints are canonical. Point counting restricts the form one
-ruling at a time and counts the distinct roots of each univariate
-restriction.
+A point of P^(n-1) over the field of order s is a tuple of element indices
+with first nonzero coordinate 1, numbered in one fixed counting order: the
+census walks its candidates and the divisor search its cells in that
+order. Point counting restricts the form to each fiber over P1(L), at
+(1:t) for t in L and then (0:1), and counts the distinct roots of each
+univariate restriction.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .bipoly import BiPoly
-from .errors import BadParameters, FieldMismatch, Infeasible, ZeroPolynomial
+from .errors import BadParameters, Infeasible, ZeroPolynomial
 from .gf import UniPoly, extension_field, unipoly_linear_part
 
-__all__ = [
-    "ProjPoint",
-    "PointPair",
-    "P3Point",
-    "enum_p1",
-    "rational_pairs",
-    "fiber_forms",
-    "segre",
-    "count_points",
-]
-
-
-class ProjPoint:
-    """A point of P1, normalized to (1:t) or (0:1)."""
-
-    __slots__ = ("field", "u0", "u1")
-
-    def __init__(self, field, u0, u1):
-        if u0 == 0 and u1 == 0:
-            raise BadParameters("(0:0) is not a projective point")
-        if u0 != 0:
-            u1 = field.div(u1, u0)
-            u0 = 1
-        else:
-            u1 = 1
-        self.field = field
-        self.u0 = u0
-        self.u1 = u1
-
-    @classmethod
-    def affine(cls, field, t):
-        return cls(field, 1, t)
-
-    @classmethod
-    def infinity(cls, field):
-        return cls(field, 0, 1)
-
-    def is_infinity(self):
-        return self.u0 == 0
-
-    def coords(self):
-        return (self.u0, self.u1)
-
-    def text(self):
-        F = self.field
-        return f"({F.text_of(self.u0)}:{F.text_of(self.u1)})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProjPoint)
-            and self.field is other.field
-            and self.u0 == other.u0
-            and self.u1 == other.u1
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.u0, self.u1))
-
-    def __repr__(self):
-        return self.text()
-
-
-class PointPair:
-    """A point of P1xP1 with both components over one field."""
-
-    __slots__ = ("field", "first", "second")
-
-    def __init__(self, first, second):
-        if first.field is not second.field:
-            raise FieldMismatch("components over different fields")
-        self.field = first.field
-        self.first = first
-        self.second = second
-
-    def coords(self):
-        return self.first.coords() + self.second.coords()
-
-    def text(self):
-        return f"{self.first.text()}x{self.second.text()}"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PointPair)
-            and self.first == other.first
-            and self.second == other.second
-        )
-
-    def __hash__(self):
-        return hash((self.first, self.second))
-
-    def __repr__(self):
-        return self.text()
-
-
-class P3Point:
-    """A point of P3 with the first nonzero coordinate scaled to 1."""
-
-    __slots__ = ("field", "t")
-
-    def __init__(self, field, coords):
-        t = tuple(coords)
-        if len(t) != 4:
-            raise BadParameters("P3 point needs 4 coordinates")
-        lead = next((c for c in t if c != 0), None)
-        if lead is None:
-            raise BadParameters("(0:0:0:0) is not a projective point")
-        if lead != 1:
-            s = field.inv(lead)
-            t = tuple(field.mul(c, s) for c in t)
-        self.field = field
-        self.t = t
-
-    def coords(self):
-        return self.t
-
-    def text(self):
-        F = self.field
-        return "(" + ":".join(F.text_of(c) for c in self.t) + ")"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, P3Point)
-            and self.field is other.field
-            and self.t == other.t
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.t))
-
-    def __repr__(self):
-        return self.text()
-
-
-def enum_p1(field):
-    """All |field|+1 points: (1:t) in element enumeration order, then (0:1)."""
-    pts = [ProjPoint.affine(field, t) for t in range(field.order)]
-    pts.append(ProjPoint.infinity(field))
-    return tuple(pts)
+__all__ = ["count_points"]
 
 
 def projective_count(s, n):
@@ -196,34 +59,6 @@ def projective_index(v, s):
     return projective_count(s, n) - projective_count(s, n - lead) + offset
 
 
-def rational_pairs(field):
-    """All (|field|+1)^2 points of P1xP1, row-major in enum_p1 order."""
-    pts = enum_p1(field)
-    return tuple(PointPair(P, Q) for P in pts for Q in pts)
-
-
-def fiber_forms(field, axis="x"):
-    """The |field|+1 ruling forms: for axis 'x', the bi-degree (1,0) form
-    u1*X0 - u0*X1 vanishing exactly where the first component is (u0:u1)."""
-    out = []
-    for P in enum_p1(field):
-        u0, u1 = P.coords()
-        rows = [[u1], [field.neg(u0)]]
-        G = BiPoly(field, 1, 0, rows)
-        out.append(G if axis == "x" else G.transpose())
-    return tuple(out)
-
-
-def segre(pair):
-    """Image (u0*v0 : u0*v1 : u1*v0 : u1*v1) on the quadric T0*T3 = T1*T2."""
-    F = pair.field
-    u0, u1 = pair.first.coords()
-    v0, v1 = pair.second.coords()
-    return P3Point(
-        F, (F.mul(u0, v0), F.mul(u0, v1), F.mul(u1, v0), F.mul(u1, v1))
-    )
-
-
 # Most points of P1xP1 one enumeration may visit. It also bounds the field a
 # count may use, though a count visits only the fibers, and a count over too
 # large a field raises the same Infeasible text.
@@ -256,8 +91,8 @@ def count_points(F, m=1):
     L = enumerable_extension(F.field, m)
     G = F.map_field(L)
     total = 0
-    for P in enum_p1(L):
-        coeffs = G.restrict(*P.coords())
+    for u0, u1 in [(1, t) for t in range(L.order)] + [(0, 1)]:
+        coeffs = G.restrict(u0, u1)
         if not any(coeffs):
             total += L.order + 1
             continue

@@ -590,8 +590,9 @@ class UniPoly:
         while k:
             if k & 1:
                 r = (r * b) % mod
-            b = (b * b) % mod
             k >>= 1
+            if k:
+                b = (b * b) % mod
         return r
 
     def derivative(self):

@@ -22,8 +22,9 @@ neither route decides lands in an explicit unknown bucket instead of a
 guessed verdict.
 min_bidegree_scan applies this cell by cell over a rectangle of
 bi-degrees, skipping cells with a <= q or b <= q, which carry no
-absolutely irreducible filling form at all (the obstruction behind
-min_bidegree_check: too few rows to meet every vertical fiber).
+absolutely irreducible filling form at all (the degree lemma: with a <= q
+the curve meets each rational horizontal fiber in at most q points, fewer
+than the q+1 it must hold, so it contains every such fiber).
 """
 
 from __future__ import annotations
@@ -336,9 +337,10 @@ def min_bidegree_scan(q, a_max, b_max):
     irreducible filling form over GF(q)?
 
     Cells with a <= q or b <= q are settled without enumeration (no such
-    form exists there; see min_bidegree_check).  Other cells enumerate the
-    filling space and stop at the first irreducible candidate; exhaustion
-    with unknowns pending marks the cell infeasible rather than empty."""
+    form exists there, by the degree lemma in the module docstring).
+    Other cells enumerate the filling space and stop at the first
+    irreducible candidate; exhaustion with unknowns pending marks the cell
+    infeasible rather than empty."""
     K = field_for(q)
     table = {}
     for a in range(a_max + 1):

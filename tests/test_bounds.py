@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _oracles import fiber_union
 from bifill.bounds import (
     BoundReport,
     check_attainment,
@@ -12,7 +13,7 @@ from bifill.bounds import (
 )
 from bifill.analysis import is_abs_irreducible
 from bifill.errors import BadParameters, Infeasible
-from bifill.families import construct, fiber_union
+from bifill.families import construct
 from bifill.filling import frobenius_forms
 
 

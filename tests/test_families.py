@@ -2,16 +2,15 @@ import dataclasses
 
 import pytest
 
+from _oracles import fiber_forms, fiber_union
 from bifill.bipoly import divides, parse_bipoly
 from bifill.errors import FieldMismatch, NotPrime, SetupViolation, UnsupportedQ
 from bifill.families import (
     construct,
-    fiber_union,
     pair_curve,
     pick_params,
 )
 from bifill.filling import frobenius_forms, is_filling
-from bifill.geom import fiber_forms
 from bifill.gf import parse_field_spec
 
 

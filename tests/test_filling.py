@@ -5,12 +5,7 @@ from hypothesis import strategies as st
 from bifill.bipoly import BiPoly, parse_bipoly
 from bifill.errors import BidegreeTooSmall, NotFilling, ZeroPolynomial
 from bifill.families import construct
-from bifill.filling import (
-    decompose,
-    frobenius_forms,
-    is_filling,
-    min_bidegree_check,
-)
+from bifill.filling import decompose, frobenius_forms, is_filling
 from bifill.gf import parse_field_spec
 
 
@@ -117,12 +112,3 @@ def test_decompose_round_trip_random_combos(seed):
         return
     assert decompose(F).verify(F)
 
-
-# -- degree floor diagnostic -----------------------------------------------------
-
-def test_min_bidegree_check(gf2):
-    KX, _ = frobenius_forms(gf2)
-    low = parse_bipoly("X0*Y0 + X1*Y1", gf2)
-    assert min_bidegree_check(low, irreducible=True) == "Contradiction"
-    assert min_bidegree_check(low, irreducible=False) == "Consistent"
-    assert min_bidegree_check(construct(2), irreducible=True) == "Consistent"

@@ -2,25 +2,26 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from _oracles import brute_point_count
+from _oracles import (
+    PointPair,
+    ProjPoint,
+    brute_point_count,
+    common_zeros,
+    enum_p1,
+    fiber_forms,
+    rational_pairs,
+    singular_points,
+)
 from bifill import geom, gf
-from bifill.analysis import common_zeros, singular_points
 from bifill.bipoly import BiPoly, parse_bipoly
 from bifill.errors import BadParameters, FieldMismatch, Infeasible, ZeroPolynomial
 from bifill.families import construct
 from bifill.filling import frobenius_forms
 from bifill.geom import (
-    P3Point,
-    PointPair,
-    ProjPoint,
     count_points,
-    enum_p1,
-    fiber_forms,
     projective_count,
     projective_index,
     projective_vectors,
-    rational_pairs,
-    segre,
 )
 from bifill.gf import parse_field_spec
 
@@ -57,11 +58,6 @@ def test_enum_p1_size_and_distinctness(q):
     assert len(pts) == q + 1
     assert len(set(pts)) == q + 1
     assert pts[-1].is_infinity()
-
-
-def test_p3point_normalizes(gf3):
-    assert P3Point(gf3, (2, 1, 0, 2)).coords() == (1, 2, 0, 1)
-    assert P3Point(gf3, (0, 0, 2, 1)).coords() == (0, 0, 1, 2)
 
 
 @pytest.mark.parametrize("s,n", [(2, 1), (2, 4), (3, 3), (4, 3), (5, 2), (3, 0)])
@@ -109,21 +105,6 @@ def count_on_pair(G, pair):
             t = K.mul(t, K.pow_(v1, j))
             total = K.add(total, t)
     return total == 0
-
-
-# -- Segre embedding -------------------------------------------------------------
-
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_segre_lands_on_the_quadric(q):
-    K = field(q)
-    for pair in rational_pairs(K):
-        t0, t1, t2, t3 = segre(pair).coords()
-        assert K.mul(t0, t3) == K.mul(t1, t2)
-
-
-def test_segre_is_injective(gf3):
-    images = {segre(pair) for pair in rational_pairs(gf3)}
-    assert len(images) == 16
 
 
 # -- point counting --------------------------------------------------------------

@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import digit_add
+from _oracles import PointPair, ProjPoint, digit_add, eval_bipoly
 from bifill import gf
-from bifill.bipoly import eval_bipoly, parse_bipoly
+from bifill.bipoly import parse_bipoly
 from bifill.errors import (
     BadParameters,
     DivisionByZero,
     NotASubfield,
     NotPrime,
 )
-from bifill.geom import PointPair, ProjPoint
 from bifill.gf import (
     UniPoly,
     extension_field,
@@ -359,6 +358,31 @@ def test_powmod_matches_repeated_multiplication(gf3):
     for _ in range(7):
         direct = (direct * f).divmod_poly(m)[1]
     assert f.powmod(7, m) == direct
+
+
+@pytest.mark.parametrize("q", [2, 9])
+def test_powmod_squares_only_while_bits_remain(monkeypatch, q):
+    # one product per set bit of k and one squaring per bit below the top
+    K = field_for(q)
+    f = UniPoly(K, [1, 2 % q, 0, 1])
+    m = UniPoly(K, [1, 1, 0, 0, 1])
+    calls = [0]
+    mul = UniPoly.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    direct = UniPoly(K, [1])
+    for k in range(71):
+        monkeypatch.setattr(UniPoly, "__mul__", counting)
+        calls[0] = 0
+        got = f.powmod(k, m)
+        monkeypatch.setattr(UniPoly, "__mul__", mul)
+        assert got == direct
+        if k:
+            assert calls[0] == bin(k).count("1") + k.bit_length() - 1
+        direct = (direct * f).divmod_poly(m)[1]
 
 
 def test_field_for_rejects_composite_order():

@@ -4,14 +4,18 @@ import json
 
 import pytest
 
-from _oracles import classify_b_then_a, filling_kernel_rows, rref_rank_mod_p
+from _oracles import (
+    classify_b_then_a,
+    filling_kernel_rows,
+    rational_pairs,
+    rref_rank_mod_p,
+)
 from bifill import analysis, search
 from bifill.analysis import _proj_forms, certify_smooth
 from bifill.bipoly import BiPoly
 from bifill.errors import BadParameters, FieldMismatch, Infeasible
 from bifill.families import construct
 from bifill.filling import is_filling
-from bifill.geom import rational_pairs
 from bifill.gf import extension_field, parse_field_spec
 from bifill.search import (
     candidate_index_of,

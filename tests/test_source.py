@@ -112,3 +112,35 @@ def test_every_import_is_used():
         used |= set(getattr(importlib.import_module(f"bifill.{path.stem}"), "__all__", ()))
         unused += [f"{path.stem}.{name}" for name in imported if name not in used]
     assert unused == []
+
+
+def test_every_exported_name_has_a_reader():
+    # a name the package exports but nothing reads is kept alive by the
+    # export alone; a reader is a loaded name or attribute in a package
+    # module outside the name's own definition, or a word in README.md or
+    # in the benchmark's scripts
+    root = Path(__file__).resolve().parents[1]
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse((SRC / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
+            }
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+            read |= names
+    for path in [root / "README.md", *sorted((root / "perfbench").glob("*.py"))]:
+        read |= set(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+    assert exported
+    assert [name for name in exported if name not in read] == []
