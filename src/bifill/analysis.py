@@ -41,6 +41,7 @@ from .gf import (
     unipoly_factor,
     unipoly_gcd,
     unipoly_is_irreducible,
+    unipoly_linear_part,
     unipoly_roots,
 )
 
@@ -281,27 +282,20 @@ def _require_ruling_shapes(f, g):
 
 
 def validate_setup(f, g):
-    """Both ruling forms squarefree as binary forms (checked on the two
-    dehomogenizations) and nonvanishing at every rational point of P1."""
+    """Both ruling forms squarefree as binary forms and nonvanishing at
+    every rational point of P1: in the inhomogeneous variable each has full
+    degree q+1 (no zero at (0:1)), no repeated factor and no root in GF(q)."""
     _require_ruling_shapes(f, g)
     K = f.field
 
     def binary_ok(coeffs):
         # coeffs low-first in the inhomogeneous variable
         u = UniPoly(K, list(coeffs))
-        w = UniPoly(K, list(reversed(coeffs)))
-        for h in (u, w):
-            d = h.derivative()
-            if d.is_zero():
-                if h.degree > 0:
-                    return False
-                continue
-            if unipoly_gcd(h, d).degree != 0:
-                return False
-        for t in range(K.order):
-            if u.eval_at(t) == 0:
-                return False
-        return u.degree == K.order + 1  # nonzero at (0:1) too
+        return (
+            u.degree == K.order + 1
+            and unipoly_gcd(u, u.derivative()).degree == 0
+            and unipoly_linear_part(u).degree == 0
+        )
 
     return binary_ok(f.rows[0]) and binary_ok([r[0] for r in g.rows])
 
@@ -369,133 +363,105 @@ def conjugate_norms(field, a, b, k):
     return _NORM_CACHE[key]
 
 
-# Most projective divisor candidates find_factor, or one conjugate-norm
-# cell of is_abs_irreducible, may enumerate.
+# Most projective candidates the divisor cells of one form, or one of its
+# conjugate-norm cells, may hold.
 FACTOR_SEARCH_BUDGET = 1 << 22
 
 
-class FactorScan:
-    """find_factor's divisor search, resumable.
-
-    The divisor cells are walked in ascending total degree, then
-    lexicographic cell order, and each candidate G in a cell goes straight
-    to divides(G, F). The constructor checks FACTOR_SEARCH_BUDGET before
-    any divisor is tried and raises Infeasible when the cells exceed it;
-    each search call resumes after the last cell tested."""
-
-    def __init__(self, F):
-        a, b = F.a, F.b
-        self.F = F
-        self.cells = sorted(
-            (
-                (a2, b2)
-                for a2 in range(a + 1)
-                for b2 in range(b + 1)
-                if 0 < a2 + b2 <= (a + b) // 2
-            ),
-            key=lambda cell: (cell[0] + cell[1], cell),
+def _divisor_cells(F):
+    """The bi-degrees (a2,b2) of F's proper divisors up to total degree
+    (a+b)//2, in scan order: ascending total degree, then lexicographic.
+    Raises Infeasible, before any divisor is tried, when their candidates
+    exceed FACTOR_SEARCH_BUDGET."""
+    a, b = F.a, F.b
+    cells = sorted(
+        ((a2, b2) for a2 in range(a + 1) for b2 in range(b + 1) if 0 < a2 + b2 <= (a + b) // 2),
+        key=lambda cell: (cell[0] + cell[1], cell),
+    )
+    q = F.field.order
+    total = sum(projective_count(q, (a2 + 1) * (b2 + 1)) for a2, b2 in cells)
+    if total > FACTOR_SEARCH_BUDGET:
+        raise Infeasible(
+            f"{total} division candidates exceed the budget {FACTOR_SEARCH_BUDGET}"
         )
-        q = F.field.order
-        total = sum(projective_count(q, (a2 + 1) * (b2 + 1)) for a2, b2 in self.cells)
-        if total > FACTOR_SEARCH_BUDGET:
-            raise Infeasible(
-                f"{total} division candidates exceed the budget {FACTOR_SEARCH_BUDGET}"
-            )
-        self._tested = 0
+    return cells
 
-    def search(self, max_degree=None):
-        """Least proper GF(q)-factor of F in the untested cells of total
-        degree at most max_degree (every untested cell when None), or None."""
-        F = self.F
-        K = F.field
-        while self._tested < len(self.cells):
-            a2, b2 = self.cells[self._tested]
-            if max_degree is not None and a2 + b2 > max_degree:
-                return None
-            self._tested += 1
-            for G in _proj_forms(K, a2, b2):
-                if divides(G, F) is not None:
-                    return G
-        return None
+
+def _first_factor(F, cells):
+    """First candidate G of the given cells, each in census order, that
+    divides F, or None."""
+    for a2, b2 in cells:
+        for G in _proj_forms(F.field, a2, b2):
+            if divides(G, F) is not None:
+                return G
+    return None
 
 
 def find_factor(F):
     """Least proper GF(q)-factor of F in the fixed scan order (ascending
     total degree, then lexicographic cell order), or None."""
-    return FactorScan(F).search()
+    return _first_factor(F, _divisor_cells(F))
 
 
-def _norm_degrees(a, b):
-    g = int_gcd(a, b)
-    return [k for k in range(2, g + 1) if g % k == 0]
-
-
-def norm_search_fits(F):
-    """Whether every conjugate-norm cell of F's bi-degree (a,b), one for
-    each k >= 2 dividing gcd(a,b), is within FACTOR_SEARCH_BUDGET."""
-    a, b = F.a, F.b
-    return all(
-        projective_count(F.field.order**k, (a // k + 1) * (b // k + 1))
-        <= FACTOR_SEARCH_BUDGET
-        for k in _norm_degrees(a, b)
-    )
-
-
-def is_conjugate_norm(F):
+def _is_conjugate_norm(F):
     """Whether F is, up to scalar, a norm G * G^s * ... over GF(q^k) for
     some k >= 2 dividing gcd(a,b). A GF(q)-irreducible F is reducible over
-    the closure exactly when this holds."""
+    the closure exactly when this holds. Raises Infeasible, before any norm
+    is formed, when one of those cells exceeds FACTOR_SEARCH_BUDGET."""
+    a, b = F.a, F.b
+    g = int_gcd(a, b)
+    degrees = [k for k in range(2, g + 1) if g % k == 0]
+    if any(
+        projective_count(F.field.order**k, (a // k + 1) * (b // k + 1)) > FACTOR_SEARCH_BUDGET
+        for k in degrees
+    ):
+        raise Infeasible("conjugate search exceeds the budget")
     canon = _canonical_scale(F).rows
-    return any(
-        canon in conjugate_norms(F.field, F.a, F.b, k) for k in _norm_degrees(F.a, F.b)
-    )
+    return any(canon in conjugate_norms(F.field, a, b, k) for k in degrees)
 
 
-def smooth_proves_irreducible(F, cert=None):
-    """Route A: whether F has both bi-degree entries positive and is
-    certified Smooth, which makes it irreducible over the closure. cert,
-    when given, is F's certificate already taken; otherwise F is certified
-    here, and only when both entries are positive."""
-    if F.a < 1 or F.b < 1:
-        return False
-    if cert is None:
-        cert = certify_smooth(F)
-    return cert.verdict == "Smooth"
-
-
-def is_abs_irreducible(F, method="auto"):
+def is_abs_irreducible(F, method="auto", cert=None):
     """True iff F is irreducible over the algebraic closure.
 
-    method "A" uses the smoothness shortcut and abstains (Infeasible) when
-    the form is not certified smooth; method "B" scans every divisor cell,
-    then checks conjugate norms. "auto" runs both, cheapest first: the
-    divisor cells of total degree at most 2, then A, then the remaining
-    cells, then the conjugate-norm check. When the divisor cells exceed
-    FACTOR_SEARCH_BUDGET, "auto" is A alone. Both routes are sound, so the
-    order changes the cost and never the verdict: a reducible form with
-    both bi-degree entries positive is never certified smooth.
+    method "A" is route A, the smoothness shortcut: F has both bi-degree
+    entries positive and is certified Smooth. It abstains (Infeasible)
+    otherwise. cert, when given, is F's smoothness certificate already
+    taken, and route A reads it; otherwise route A certifies F itself,
+    and only when both entries are positive. method "B" scans every
+    divisor cell, then checks conjugate norms. "auto" runs both, cheapest
+    first: the divisor cells of total degree at most 2, then A, then the
+    remaining cells, then the conjugate-norm check. When the divisor cells
+    exceed FACTOR_SEARCH_BUDGET, "auto" is A alone. Both routes are sound,
+    so the order changes the cost and never the verdict: a reducible form
+    with both bi-degree entries positive is never certified smooth.
     """
     if F.is_zero():
         raise ZeroPolynomial("the zero polynomial is not a curve")
     if method not in ("auto", "A", "B"):
         raise BadParameters(f"unknown method {method!r}")
+
+    def route_a():
+        if F.a < 1 or F.b < 1:
+            return False
+        return (cert if cert is not None else certify_smooth(F)).verdict == "Smooth"
+
     if method == "A":
-        if smooth_proves_irreducible(F):
+        if route_a():
             return IrreducibilityResult(True, "A")
         raise Infeasible("smoothness shortcut cannot decide this form")
     try:
-        scan = FactorScan(F)
+        cells = _divisor_cells(F)
     except Infeasible:
-        if method == "auto" and smooth_proves_irreducible(F):
+        if method == "auto" and route_a():
             return IrreducibilityResult(True, "A")
         raise
     if method == "auto":
-        if scan.search(max_degree=2) is not None:
+        small = [cell for cell in cells if cell[0] + cell[1] <= 2]
+        if _first_factor(F, small) is not None:
             return IrreducibilityResult(False, "B")
-        if smooth_proves_irreducible(F):
+        if route_a():
             return IrreducibilityResult(True, "A")
-    if scan.search() is not None:
+        cells = cells[len(small):]
+    if _first_factor(F, cells) is not None:
         return IrreducibilityResult(False, "B")
-    if not norm_search_fits(F):
-        raise Infeasible("conjugate search exceeds the budget")
-    return IrreducibilityResult(not is_conjugate_norm(F), "B")
+    return IrreducibilityResult(not _is_conjugate_norm(F), "B")

@@ -23,7 +23,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .analysis import certify_smooth, is_abs_irreducible, smooth_proves_irreducible
+from .analysis import certify_smooth, is_abs_irreducible
 from .bipoly import parse_bipoly
 from .bounds import check_attainment, space_curve_bound
 from .errors import (
@@ -80,21 +80,17 @@ def _summarize(F):
     """The full battery: filling, smoothness, irreducibility, points,
     bound attainment.
 
-    The smoothness certificate is taken once and reused as route A of
-    absolute irreducibility (analysis.smooth_proves_irreducible); only
-    when it does not apply does method B run, as "auto" would.  The
-    points are counted once: F is filling when all (q+1)^2 rational pairs
-    are on it.
+    The smoothness certificate is taken once and handed to
+    is_abs_irreducible, whose route A reads it; the verdict is None when
+    that decision is over budget.  The points are counted once: F is
+    filling when all (q+1)^2 rational pairs are on it.
     """
     cert = certify_smooth(F)
-    if smooth_proves_irreducible(F, cert):
-        irr, method = True, "A"
-    else:
-        try:
-            res = is_abs_irreducible(F, method="B")
-            irr, method = res.irreducible, res.method
-        except Infeasible:
-            irr, method = None, None
+    try:
+        res = is_abs_irreducible(F, cert=cert)
+        irr, method = res.irreducible, res.method
+    except Infeasible:
+        irr, method = None, None
     report = check_attainment(F, irr)
     filling = report.observed == (F.field.order + 1) ** 2
     return filling, cert, irr, method, report
@@ -305,6 +301,12 @@ def cmd_field_info(args):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="one JSON document on stdout")
+    field = argparse.ArgumentParser(add_help=False)
+    g = field.add_mutually_exclusive_group(required=True)
+    g.add_argument("--q", type=int)
+    g.add_argument("--field", help='e.g. "q=9" or "p=3,e=2,mod=[1,0,1]"')
+    form = argparse.ArgumentParser(add_help=False)
+    form.add_argument("--poly", required=True, help="polynomial text, or @file")
 
     top = argparse.ArgumentParser(prog="bifill", description=__doc__.split("\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -314,22 +316,16 @@ def _build_parser():
     p.add_argument("--transposed", action="store_true")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", parents=[common], help="run every check on a form")
-    p.add_argument("--poly", required=True, help="polynomial text, or @file")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--q", type=int)
-    g.add_argument("--field", help='e.g. "q=9" or "p=3,e=2,mod=[1,0,1]"')
+    p = sub.add_parser("verify", parents=[common, form, field],
+                       help="run every check on a form")
     p.add_argument("--expect-filling", action="store_true", default=None)
     p.add_argument("--expect-smooth", action="store_true", default=None)
     p.add_argument("--expect-irreducible", action="store_true", default=None)
     p.add_argument("--expect-points", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("decompose", parents=[common], help="split into ruling summands")
-    p.add_argument("--poly", required=True, help="polynomial text, or @file")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--q", type=int)
-    g.add_argument("--field")
+    p = sub.add_parser("decompose", parents=[common, form, field],
+                       help="split into ruling summands")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("census", parents=[common], help="classify a filling space")
@@ -349,18 +345,12 @@ def _build_parser():
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("count", parents=[common], help="rational points over an extension")
-    p.add_argument("--poly", required=True, help="polynomial text, or @file")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--q", type=int)
-    g.add_argument("--field")
+    p = sub.add_parser("count", parents=[common, form, field],
+                       help="rational points over an extension")
     p.add_argument("--ext", type=int, default=1, help="extension degree m")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("field-info", parents=[common], help="canonical field data")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--q", type=int)
-    g.add_argument("--field")
+    p = sub.add_parser("field-info", parents=[common, field], help="canonical field data")
     p.set_defaults(func=cmd_field_info)
 
     return top

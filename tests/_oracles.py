@@ -20,7 +20,9 @@ singular_points through it, restrict each form with BiPoly.restrict and
 evaluate the restriction with bipoly.binary_eval; witness_point finds its
 first coordinate with the certificate's own splitting-field root and
 checks the point with BiPoly.eval, which eval_bipoly also calls;
-homogenize inverts dehomogenize through the same chart map.
+homogenize inverts dehomogenize through the same chart map;
+binary_form_ok is validate_setup's former per-form test, which also checks
+the reversed polynomial and evaluates at every rational point.
 """
 
 from bifill.analysis import (
@@ -39,7 +41,14 @@ from bifill.errors import (
 )
 from bifill.filling import frobenius_forms
 from bifill.geom import enumerable_extension
-from bifill.gf import UniPoly, extension_field, field_for, unipoly_factor, unipoly_roots
+from bifill.gf import (
+    UniPoly,
+    extension_field,
+    field_for,
+    unipoly_factor,
+    unipoly_gcd,
+    unipoly_roots,
+)
 
 # The minimal curve over GF(2), spelled out once and frozen.  construct(2)
 # and the parser must both reproduce it exactly.
@@ -583,3 +592,24 @@ def reduced_system(f, g):
         X1q * fy1 - Y0q * gx0,
         X1q * fy0 + Y1q * gx0,
     )
+
+
+def binary_form_ok(K, coeffs):
+    """validate_setup's former test of one ruling form, coefficients
+    low-first in the inhomogeneous variable: both dehomogenizations
+    squarefree, no zero at any rational t, and full degree q+1, so no zero
+    at (0:1) either."""
+    u = UniPoly(K, list(coeffs))
+    w = UniPoly(K, list(reversed(coeffs)))
+    for h in (u, w):
+        d = h.derivative()
+        if d.is_zero():
+            if h.degree > 0:
+                return False
+            continue
+        if unipoly_gcd(h, d).degree != 0:
+            return False
+    for t in range(K.order):
+        if u.eval_at(t) == 0:
+            return False
+    return u.degree == K.order + 1

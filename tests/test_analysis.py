@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from _oracles import (
     T42,
     auto_a_then_b,
+    binary_form_ok,
     common_zeros,
     eval_bipoly,
     linear_divides,
@@ -19,7 +20,8 @@ from _oracles import (
 )
 from bifill import analysis
 from bifill.analysis import (
-    FactorScan,
+    _divisor_cells,
+    _first_factor,
     _proj_forms,
     certify_smooth,
     conjugate_norms,
@@ -158,6 +160,26 @@ def test_validate_setup_rejects_repeated_factors(gf3):
     assert not validate_setup(f, g)
 
 
+@st.composite
+def ruling_rows(draw):
+    # one nonzero row of q+2 coefficients: full degree or not, with or
+    # without rational roots and repeated factors
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    row = draw(st.lists(st.integers(0, q - 1), min_size=q + 2, max_size=q + 2).filter(any))
+    return field(q), row
+
+
+@given(ruling_rows())
+def test_validate_setup_matches_the_former_per_form_test(drawn):
+    # the same row as f's Y-coefficients and g's X-coefficients, so each
+    # side is checked by itself
+    K, row = drawn
+    q = K.order
+    f = BiPoly(K, 0, q + 1, [row])
+    g = BiPoly(K, q + 1, 0, [[c] for c in row])
+    assert validate_setup(f, g) == binary_form_ok(K, row)
+
+
 def test_pair_curve_rejects_what_the_bare_sum_accepts(gf5):
     # Y0^6 - Y1^6 vanishes on rational points: pair_curve refuses the pair,
     # while the sum f*KX + g*KY itself is still a filling (6,6) form
@@ -260,11 +282,13 @@ def test_find_factor_is_the_first_divisor_in_scan_order(F):
     G = find_factor(F)
     assert G is not None
     assert G == _first_linear_divisor(F)
-    # the census's staged use: the cheap cells first, then the rest
-    scan = FactorScan(F)
-    staged = scan.search(max_degree=2)
+    # is_abs_irreducible's staged use: the cells of total degree at most
+    # 2 first, then the rest
+    cells = _divisor_cells(F)
+    small = [cell for cell in cells if sum(cell) <= 2]
+    staged = _first_factor(F, small)
     if staged is None:
-        staged = scan.search()
+        staged = _first_factor(F, cells[len(small):])
     assert staged == G
 
 
@@ -274,6 +298,36 @@ def _decision(decide, F):
     except Infeasible:
         return None
     return res.irreducible, res.method
+
+
+@st.composite
+def small_forms(draw):
+    # any nonzero form of bi-degree up to (3,3) over GF(2) or GF(3)
+    q = draw(st.sampled_from((2, 3)))
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=b + 1, max_size=b + 1),
+        min_size=a + 1, max_size=a + 1,
+    ).filter(lambda rows: any(map(any, rows))))
+    return BiPoly(field(q), a, b, rows)
+
+
+@given(F=st.one_of(products(), small_forms()))
+def test_a_given_certificate_decides_as_auto(F):
+    assert (_decision(functools.partial(is_abs_irreducible, cert=certify_smooth(F)), F)
+            == _decision(is_abs_irreducible, F))
+
+
+@pytest.mark.parametrize("given_cert", [False, True])
+def test_a_given_certificate_is_read_not_retaken(monkeypatch, given_cert):
+    F = construct(2)
+    cert = certify_smooth(F) if given_cert else None
+    calls = []
+    inner = analysis.certify_smooth
+    monkeypatch.setattr(analysis, "certify_smooth", lambda G: calls.append(G) or inner(G))
+    res = is_abs_irreducible(F, cert=cert)
+    assert (res.irreducible, res.method) == (True, "A")
+    assert len(calls) == (0 if given_cert else 1)
 
 
 def _candidates(q, a, b, part=None):

@@ -310,12 +310,12 @@ def _form(spec):
 KXKY_GF5 = (5, "X0^5*X1*Y0^5*Y1 + 4*X0^5*X1*Y0*Y1^5 + 4*X0*X1^5*Y0^5*Y1 + X0*X1^5*Y0*Y1^5")
 
 
-@pytest.mark.parametrize("spec,decisions", [
-    (2, 0), (3, 0), (T42, 0), (KXKY_GF5, 1),
+@pytest.mark.parametrize("spec,irr", [
+    (2, True), (3, True), (T42, True), (KXKY_GF5, None),
 ], ids=["construct-2", "construct-3", "T42", "KXKY-gf5"])
-def test_summarize_certifies_once(monkeypatch, spec, decisions):
-    # one certificate, one point count, and is_abs_irreducible only when
-    # the certificate is not route A
+def test_summarize_certifies_once(monkeypatch, spec, irr):
+    # one certificate, handed to the one is_abs_irreducible call, and one
+    # point count
     calls = {"certify_smooth": 0, "is_abs_irreducible": 0, "count_points": 0}
 
     def counting(module, name):
@@ -335,9 +335,9 @@ def test_summarize_certifies_once(monkeypatch, spec, decisions):
         (bifill.filling, "count_points"),
     ]:
         monkeypatch.setattr(module, name, counting(module, name))
-    _, _, irr, _, _ = bifill.cli._summarize(_form(spec))
-    assert calls == {"certify_smooth": 1, "is_abs_irreducible": decisions, "count_points": 1}
-    assert irr is (None if decisions else True)
+    _, _, got, _, _ = bifill.cli._summarize(_form(spec))
+    assert calls == {"certify_smooth": 1, "is_abs_irreducible": 1, "count_points": 1}
+    assert got is irr
 
 
 @pytest.mark.parametrize("spec,want", [
