@@ -1,17 +1,22 @@
 """Smoothness certificates, the setup check on paired ruling forms, and
 absolute irreducibility testing.
 
-The smoothness certificate works chart by chart. In each chart the system
-is the dehomogenized form together with its four partials (the form itself
-is kept: in characteristic p the Euler relations can degenerate). Candidate
-x-coordinates of singular points are pinned down by a gcd accumulated over
-the members that only involve x and over pairwise resultants of the rest:
-a common zero roots every one of those, so the accumulated gcd is a
-complete filter, and it usually collapses to a constant after one or two
-resultants, which certifies the chart without any factoring. Surviving
-irreducible factors m(x) are checked exactly: substitute a root of m over
-GF(q^deg m) into every member and take the monic gcd in y; positive degree
-certifies a singular point, and the (m, gcd) pair is the witness.
+The smoothness certificate covers P1xP1 by one affine chart, two lines and
+a corner. The system is the form together with its four partials (the form
+itself is kept: in characteristic p the Euler relations can degenerate).
+In the X0Y0 chart, candidate x-coordinates of singular points are pinned
+down by a gcd accumulated over the members that only involve x and over
+pairwise resultants of the rest: a common zero roots every one of those, so
+the accumulated gcd is a complete filter, and it usually collapses to a
+constant after one or two resultants, which certifies the chart without
+any factoring. Surviving irreducible factors m(x) are checked exactly:
+substitute a root of m over GF(q^deg m) into every member and take the
+monic gcd in y; positive degree certifies a singular point, and the chart
+with the (m, gcd) pair is the witness. The chart misses the lines Y0 = 0
+and X0 = 0, where the members restrict to univariate polynomials: a gcd
+decides each line, and the corner X0 = Y0 = 0 is one evaluation. Their
+witnesses are written in the chart that holds the point (X0Y1, X1Y0 or
+X1Y1), in the same (m, gcd) form.
 
 Absolute irreducibility runs two routes. Route A: a smooth form with both
 bi-degree entries positive is irreducible over the closure, because on this
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from math import gcd as int_gcd
 from typing import Optional
 
-from .bipoly import CHARTS, BiPoly, divides, resultant_elim
+from .bipoly import BiPoly, divides, resultant_elim
 from .errors import BadParameters, BadShape, Infeasible, ZeroPolynomial
 from .geom import projective_count, projective_vectors
 from .gf import (
@@ -72,7 +77,7 @@ def jacobian_system(F):
 
 @dataclass(frozen=True)
 class Witness:
-    chart: str
+    chart: str  # X0Y0; X0Y1, X1Y0, X1Y1 hold Y0 = 0, X0 = 0, the corner
     orientation: str  # "y": modulus constrains x; "x": modulus constrains y
     modulus: UniPoly  # irreducible over the owner field
     common: UniPoly  # positive-degree common divisor over GF(q^deg m)
@@ -165,6 +170,17 @@ def _modulus_avoiding(K, lcpoly):
     raise AssertionError("unreachable: finitely many roots")
 
 
+def _single_witness(K, A, chart, orientation):
+    """A single bivariate equation always has zeros over the closure:
+    certify one over a root of a modulus that avoids its leading
+    coefficient."""
+    mpoly = _modulus_avoiding(K, A.y_coeffs()[A.deg_y])
+    G = _factor_verdict([A], K, mpoly)
+    if G is None:
+        raise AssertionError(f"chart {chart} has no zero over the root of {mpoly}")
+    return Witness(chart, orientation, mpoly, G)
+
+
 def _certify_chart(K, members, chart, orientation, trace):
     """One chart, one elimination orientation. Returns ("smooth", None),
     ("singular", Witness) or ("degenerate", None)."""
@@ -185,18 +201,12 @@ def _certify_chart(K, members, chart, orientation, trace):
         if D.degree == 0:
             return "smooth", None
     if D is None and len(ypos) == 1:
-        # a single bivariate equation always has zeros over the closure
-        A = ypos[0]
-        lc = A.y_coeffs()[A.deg_y]
-        mpoly = _modulus_avoiding(K, lc)
-        G = _factor_verdict(ypos, K, mpoly)
-        if G is None:
-            raise AssertionError(f"chart {chart} has no zero over the root of {mpoly}")
+        witness = _single_witness(K, ypos[0], chart, orientation)
         trace.append(
             {"chart": chart, "orientation": orientation,
-             "pair": "single", "degree": mpoly.degree}
+             "pair": "single", "degree": witness.modulus.degree}
         )
-        return "singular", Witness(chart, orientation, mpoly, G)
+        return "singular", witness
     for i in range(len(ypos)):
         if D is not None and D.degree == 0:
             break
@@ -223,30 +233,80 @@ def _certify_chart(K, members, chart, orientation, trace):
     return "smooth", None
 
 
+def _line_witness(F, K, trace):
+    """First singular point off the X0Y0 chart, as a Witness, or None.
+
+    Off that chart lie the line Y0 = 0 without the corner (chart X0Y1, at
+    y = 0), the line X0 = 0 without the corner (chart X1Y0, at x = 0) and
+    the corner X0 = Y0 = 0 (chart X1Y1, at the origin). There the five
+    forms restrict to univariate polynomials, so a gcd decides each piece
+    without a resultant. Each witness is the one the chart's own walk
+    would give: the least irreducible factor of the line gcd as modulus on
+    Y0 = 0, and modulus t for the points at x = 0.
+    """
+    t = UniPoly(K, (0, 1))
+    members = _chart_members(F, "X0Y1", "y")
+    D = None
+    for mem in members:
+        u = UniPoly(K, [row[0] for row in mem.rows])
+        if not u.is_zero():
+            D = u.monic() if D is None else unipoly_gcd(D, u)
+    trace.append({"chart": "X0Y1", "orientation": "y", "pair": "line",
+                  "degree": D.degree if D is not None else None})
+    if D is None:
+        # every form vanishes on the whole line, so Y0^2 divides F; certify
+        # as the chart's walk would: a single member by a modulus avoiding
+        # its leading coefficient, several at y = 0 in the transposed
+        # orientation, where t constrains y
+        if len(members) == 1:
+            return _single_witness(K, members[0], "X0Y1", "y")
+        members = _chart_members(F, "X0Y1", "x")
+        return Witness("X0Y1", "x", t, _factor_verdict(members, K, t))
+    if D.degree > 0:
+        # every member vanishes at (root of m, 0), so the gcd in y holds y
+        mpoly = unipoly_factor(D)[0][0]
+        return Witness("X0Y1", "y", mpoly, _factor_verdict(members, K, mpoly))
+    members = _chart_members(F, "X1Y0", "y")
+    G = _factor_verdict(members, K, t)
+    trace.append({"chart": "X1Y0", "orientation": "y", "pair": "line",
+                  "degree": G.degree if G is not None else 0})
+    if G is not None:
+        return Witness("X1Y0", "y", t, G)
+    members = _chart_members(F, "X1Y1", "y")
+    singular = all(mem.rows[0][0] == 0 for mem in members)
+    trace.append({"chart": "X1Y1", "orientation": "y", "pair": "corner",
+                  "degree": int(singular)})
+    if singular:
+        return Witness("X1Y1", "y", t, _factor_verdict(members, K, t))
+    return None
+
+
 def certify_smooth(F):
     """Exact smoothness certificate for the projective zero set of F.
 
     Smooth means the five-form system has only trivial solutions over the
     algebraic closure. Singular comes with an independently checkable
-    witness. Inconclusive is reserved for a chart whose members defeat both
-    elimination orientations (all pairwise resultants identically zero).
+    witness. The X0Y0 chart is decided by resultants and gcds; the two
+    lines X0 = 0 and Y0 = 0 and their corner, which that chart misses, by
+    univariate gcds alone. Inconclusive is reserved for a form whose X0Y0
+    chart defeats both elimination orientations (all pairwise resultants
+    identically zero) and which has no singular point on the two lines.
     """
     if F.is_zero():
         raise ZeroPolynomial("the zero polynomial does not define a curve")
     K = F.field
     trace = []
-    inconclusive = False
-    for chart in CHARTS:
-        for orientation in ("y", "x"):
-            members = _chart_members(F, chart, orientation)
-            state, witness = _certify_chart(K, members, chart, orientation, trace)
-            if state == "singular":
-                return SmoothCertificate("Singular", witness, tuple(trace))
-            if state == "smooth":
-                break
-        else:
-            inconclusive = True
-    if inconclusive:
+    for orientation in ("y", "x"):
+        members = _chart_members(F, "X0Y0", orientation)
+        state, witness = _certify_chart(K, members, "X0Y0", orientation, trace)
+        if state == "singular":
+            return SmoothCertificate("Singular", witness, tuple(trace))
+        if state == "smooth":
+            break
+    witness = _line_witness(F, K, trace)
+    if witness is not None:
+        return SmoothCertificate("Singular", witness, tuple(trace))
+    if state == "degenerate":
         return SmoothCertificate("Inconclusive", None, tuple(trace))
     return SmoothCertificate("Smooth", None, tuple(trace))
 

@@ -6,13 +6,15 @@ of all four coordinates, point counts enumerate raw coordinate tuples, ranks
 come from a local row reduction over a prime field, cofactors from the
 linear system of G*H = F solved by a local Gauss-Jordan elimination, and
 resultants from fraction-free elimination on the literal Sylvester matrix.
-Three oracles are the exception and keep a former algorithm instead: the
+Four oracles are the exception and keep a former algorithm instead: the
 census classifier's runs method B in full and method A only when B is over
 budget, and auto_a_then_b runs method A before any of method B, to check
 that is_abs_irreducible's "auto" order gives every verdict and method
 unchanged; resultant_every_node evaluates at every good node rather than
 once per Frobenius orbit, sharing bifill's univariate resultant and
-interpolation.
+interpolation; certify_smooth_four_charts walks all four affine charts by
+resultants, sharing certify_smooth's chart step, where certify_smooth
+takes one chart and reads the two lines it misses by gcds.
 
 The slow enumerators and fixtures that once lived in the package are the
 other exception, and share package code as noted: common_zeros, and
@@ -26,12 +28,22 @@ the reversed polynomial and evaluates at every rational point.
 """
 
 from bifill.analysis import (
+    SmoothCertificate,
+    _certify_chart,
+    _chart_members,
     _require_ruling_shapes,
     _root_in_splitting_field,
     is_abs_irreducible,
     jacobian_system,
 )
-from bifill.bipoly import BiPoly, _chart_rows, _newton_interp, _uni_resultant, binary_eval
+from bifill.bipoly import (
+    CHARTS,
+    BiPoly,
+    _chart_rows,
+    _newton_interp,
+    _uni_resultant,
+    binary_eval,
+)
 from bifill.errors import (
     BadParameters,
     BidegreeMismatch,
@@ -313,6 +325,31 @@ def resultant_every_node(A, B, var):
         if len(xs) == need:
             break
     return UniPoly(K, _newton_interp(L, xs, ys))
+
+
+def certify_smooth_four_charts(F):
+    """certify_smooth's former walk: every affine chart in turn, each by
+    resultants in orientation "y" and then "x", sharing the package's chart
+    step; Inconclusive when any chart defeats both orientations and no
+    chart finds a singular point."""
+    if F.is_zero():
+        raise ZeroPolynomial("the zero polynomial does not define a curve")
+    K = F.field
+    trace = []
+    inconclusive = False
+    for chart in CHARTS:
+        for orientation in ("y", "x"):
+            members = _chart_members(F, chart, orientation)
+            state, witness = _certify_chart(K, members, chart, orientation, trace)
+            if state == "singular":
+                return SmoothCertificate("Singular", witness, tuple(trace))
+            if state == "smooth":
+                break
+        else:
+            inconclusive = True
+    if inconclusive:
+        return SmoothCertificate("Inconclusive", None, tuple(trace))
+    return SmoothCertificate("Smooth", None, tuple(trace))
 
 
 def auto_a_then_b(F):

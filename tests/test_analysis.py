@@ -3,13 +3,14 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
     T42,
     auto_a_then_b,
     binary_form_ok,
+    certify_smooth_four_charts,
     common_zeros,
     eval_bipoly,
     linear_divides,
@@ -20,6 +21,8 @@ from _oracles import (
 )
 from bifill import analysis
 from bifill.analysis import (
+    _certify_chart,
+    _chart_members,
     _divisor_cells,
     _first_factor,
     _proj_forms,
@@ -83,22 +86,162 @@ def test_singular_locus_of_fiber_product_is_the_rational_grid(gf2):
     }
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 17, 19, 25])
 def test_constructed_curves_are_certified_smooth(q):
     assert certify_smooth(construct(q)).verdict == "Smooth"
 
 
-# SHA-256 of the certificates of construct(q), traces included: the order in
-# which each chart's pairs are eliminated and every resultant's degree
+# SHA-256 of the four-chart walk's certificates of construct(q), traces
+# included: the order in which each chart's pairs are eliminated and every
+# resultant's degree
 CONSTRUCT_CERTIFICATES_SHA256 = "9dd58c33a5f5de779791f568864f73b3000904859fbac30dd59836ad5a6b758f"
+
+# The same for certify_smooth: the X0Y0 chart's pairs, then one entry for
+# each line and the corner
+CONSTRUCT_LINE_CERTIFICATES_SHA256 = (
+    "b3a07a4435cda0eb75963e1cd6db129d1d9ba45009965c90a0a844aeb91d00ac"
+)
+
+PINNED_CONSTRUCT_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+def _certificates_digest(certify):
+    doc = json.dumps(
+        [certify(construct(q)).to_json() for q in PINNED_CONSTRUCT_QS], sort_keys=True
+    )
+    return hashlib.sha256(doc.encode()).hexdigest()
 
 
 def test_construct_certificate_traces_are_pinned():
-    doc = json.dumps(
-        [certify_smooth(construct(q)).to_json() for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)],
-        sort_keys=True,
+    assert _certificates_digest(certify_smooth_four_charts) == CONSTRUCT_CERTIFICATES_SHA256
+
+
+def test_construct_line_certificate_traces_are_pinned():
+    assert _certificates_digest(certify_smooth) == CONSTRUCT_LINE_CERTIFICATES_SHA256
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_resultants_are_taken_in_the_x0y0_chart_only(monkeypatch, q):
+    calls = []
+    inner = analysis.resultant_elim
+    monkeypatch.setattr(analysis, "resultant_elim", lambda A, B: calls.append(1) or inner(A, B))
+    cert = certify_smooth(construct(q))
+    pairs = [t for t in cert.trace if isinstance(t["pair"], list)]
+    assert len(calls) == len(pairs) == (8 if q == 2 else 3)
+    assert {t["chart"] for t in pairs} == {"X0Y0"}
+    assert [t["pair"] for t in cert.trace[-3:]] == ["line", "line", "corner"]
+
+
+# -- the certificate against the four-chart walk ---------------------------------
+
+def _x0y0_degenerate(F):
+    return all(
+        _certify_chart(F.field, _chart_members(F, "X0Y0", o), "X0Y0", o, [])[0] == "degenerate"
+        for o in ("y", "x")
     )
-    assert hashlib.sha256(doc.encode()).hexdigest() == CONSTRUCT_CERTIFICATES_SHA256
+
+
+def _check_against_four_charts(F):
+    """Smooth and Singular stay, Inconclusive may turn Singular, every
+    Singular witness checks, and the witness changes only where the X0Y0
+    chart defeats both orientations."""
+    new, old = certify_smooth(F), certify_smooth_four_charts(F)
+    if old.verdict == "Inconclusive":
+        assert new.verdict in ("Singular", "Inconclusive")
+    else:
+        assert new.verdict == old.verdict
+    if new.verdict == "Singular":
+        assert verify_witness(F, new)
+    if new.witness != old.witness:
+        assert _x0y0_degenerate(F)
+
+
+@pytest.mark.parametrize("q,a,b", [(2, 3, 3), (2, 4, 3), (2, 3, 4)])
+def test_certificate_matches_the_four_chart_walk_on_census_cells(q, a, b):
+    basis = filling_space_basis(q, a, b)
+    for k in range(projective_count(q, len(basis))):
+        _check_against_four_charts(candidate_poly(basis, k))
+
+
+@st.composite
+def shaped_forms(draw):
+    # random forms, squared factors, and X0^k, Y0^k or X0*Y0 factors that
+    # put singular points on the lines the X0Y0 chart misses
+    K = field(draw(st.sampled_from((2, 3, 4, 5, 9))))
+
+    def form(a_max, b_max):
+        a, b = draw(st.integers(0, a_max)), draw(st.integers(0, b_max))
+        rows = draw(st.lists(
+            st.lists(st.integers(0, K.order - 1), min_size=b + 1, max_size=b + 1),
+            min_size=a + 1, max_size=a + 1,
+        ))
+        return BiPoly(K, a, b, rows)
+
+    kind = draw(st.sampled_from(("plain", "square", "X0", "Y0", "X0Y0")))
+    if kind == "plain":
+        F = form(3, 3)
+    elif kind == "square":
+        G = form(2, 2)
+        F = G * G * form(1, 1)
+    else:
+        k = draw(st.integers(1, 3))
+        a, b = {"X0": (k, 0), "Y0": (0, k), "X0Y0": (1, 1)}[kind]
+        F = BiPoly.monomial(K, a, b, 0, 0) * form(2, 2)
+    assume(not F.is_zero())
+    return F
+
+
+@settings(max_examples=300)
+@given(F=shaped_forms())
+def test_certificate_matches_the_four_chart_walk_on_random_forms(F):
+    _check_against_four_charts(F)
+
+
+# The four-chart walk left these Inconclusive; each has its singular points
+# on the line Y0 = 0, which certify_smooth now reads directly.
+@pytest.mark.parametrize("q,a,b,k", [
+    (2, 4, 3, 1152), (2, 4, 3, 1474), (2, 4, 3, 1602),
+    (2, 3, 4, 8), (2, 3, 4, 170), (2, 3, 4, 1826),
+    (3, 2, 2, None),
+])
+def test_former_inconclusive_forms_are_singular(q, a, b, k):
+    if k is None:
+        G = parse_bipoly("X0*Y0 + X1*Y1", field(q))
+        F = G * G
+    else:
+        F = candidate_poly(filling_space_basis(q, a, b), k)
+    assert F.bidegree == (a, b)
+    assert certify_smooth_four_charts(F).verdict == "Inconclusive"
+    cert = certify_smooth(F)
+    assert cert.verdict == "Singular"
+    assert cert.witness.chart == "X0Y1"
+    assert verify_witness(F, cert)
+
+
+# Forms whose singular points all lie on X0 = 0 or Y0 = 0, as products of
+# the given factors, and the chart of the piece that holds the first one
+@pytest.mark.parametrize("q,factors,chart", [
+    (2, ("X0*Y0",), "X1Y1"),
+    (2, ("X0*Y0 + X0*Y1",), "X1Y0"),
+    (2, ("X0*Y0 + X1*Y0",), "X0Y1"),
+    (2, ("X0^2",), "X1Y0"),
+    (2, ("Y0^2*Y1",), "X0Y1"),
+    (3, ("X0*Y0",), "X1Y1"),
+    (3, ("X0*Y0 + 2*X0*Y1",), "X1Y0"),
+    (3, ("X0*Y0 + X1*Y0",), "X0Y1"),
+    (3, ("X0*Y0", "X0*Y0 + X1*Y1"), "X0Y1"),
+    (3, ("X0^2", "X0*Y0 + X1*Y1"), "X1Y0"),
+])
+def test_singular_points_off_the_x0y0_chart_match_enumeration(q, factors, chart):
+    F = functools.reduce(lambda G, H: G * H, (parse_bipoly(t, field(q)) for t in factors))
+    oracle = singular_points(F, 2)
+    assert oracle
+    assert all(p.first.u0 == 0 or p.second.u0 == 0 for p, _ in oracle)
+    cert = certify_smooth(F)
+    assert cert.verdict == "Singular"
+    assert cert.witness.chart == chart
+    assert verify_witness(F, cert)
+    assert witness_point(F, cert) in oracle
 
 
 # -- jacobian and reduced systems ------------------------------------------------
