@@ -32,7 +32,7 @@ from .errors import (
     ZeroDivisor,
     ZeroPolynomial,
 )
-from .gf import UniPoly, extension_field
+from .gf import UniPoly, extension_field, frobenius_orbits
 
 __all__ = [
     "BiPoly",
@@ -627,12 +627,13 @@ def resultant_elim(A, B):
     coefficient vanishes, and the interpolated coefficients land in K
     exactly.
 
-    One resultant is taken per Frobenius orbit.  With q = |K| and
-    sigma(x) = x^q, R = Res(A, B) lies in K[x], so R(sigma x) = sigma R(x);
-    the leading coefficients also lie in K[x], so the set of points where
-    one of them vanishes is sigma-closed.  Each orbit x, x^q, x^(q^2), ...
-    is therefore all good nodes or all bad ones, and its values are r,
-    r^q, r^(q^2), ... from the single value r at its least element.
+    One resultant is taken per Frobenius orbit, as gf.frobenius_orbits
+    lists them.  With q = |K| and sigma(x) = x^q, R = Res(A, B) lies in
+    K[x], so R(sigma x) = sigma R(x); the leading coefficients also lie in
+    K[x], so the set of points where one of them vanishes is sigma-closed.
+    Each orbit x, x^q, x^(q^2), ... is therefore all good nodes or all bad
+    ones, and its values are r, r^q, r^(q^2), ... from the single value r
+    at its least element.
     """
     if A.is_zero() or B.is_zero():
         raise ZeroPolynomial("resultant of the zero polynomial")
@@ -652,20 +653,10 @@ def resultant_elim(A, B):
     ca_l = [p.map_field(L) for p in ca]
     cb_l = [p.map_field(L) for p in cb]
     q = K.order
-    frob = L.pow_
-    seen = bytearray(L.order)
     xs = []
     ys = []
-    for xi in range(L.order):
-        if seen[xi]:
-            continue
-        orbit = [xi]
-        seen[xi] = 1
-        x = frob(xi, q)
-        while x != xi:
-            orbit.append(x)
-            seen[x] = 1
-            x = frob(x, q)
+    for orbit in frobenius_orbits(L, q):
+        xi = orbit[0]
         if ca_l[na].eval_at(xi) == 0 or cb_l[nb].eval_at(xi) == 0:
             continue
         fa = UniPoly(L, [p.eval_at(xi) for p in ca_l])
@@ -674,7 +665,7 @@ def resultant_elim(A, B):
         for x in orbit:
             xs.append(x)
             ys.append(r)
-            r = frob(r, q)
+            r = L.pow_(r, q)
         if len(xs) >= need:
             break
     if len(xs) < need:
@@ -686,8 +677,12 @@ def resultant_elim(A, B):
 
 
 def _newton_interp(L, xs, ys):
-    """Coefficient list (constant first) of the interpolating polynomial."""
-    add, sub, mul, div = L.add, L.sub, L.mul, L.div
+    """Coefficient list (constant first) of the interpolating polynomial.
+    Products and quotients read L's exp/log tables inline; sums go through
+    L.add and L.sub, so one path serves every characteristic."""
+    add, sub = L.add, L.sub
+    exp, log = L._exp, L._log
+    unit = L.order - 1  # exp is doubled: exp[log a - log b + unit] is a/b
     n = len(xs)
     divided = list(ys)
     for j in range(1, n):
@@ -695,20 +690,27 @@ def _newton_interp(L, xs, ys):
         prev = divided[j - 1]
         for i in range(j, n):
             cur = divided[i]
-            divided[i] = div(sub(cur, prev), sub(xs[i], xs[i - j]))
+            num = sub(cur, prev)
+            if num:
+                num = exp[log[num] - log[sub(xs[i], xs[i - j])] + unit]
+            divided[i] = num
             prev = cur
     # Horner expansion of the Newton form into monomial coefficients
     coeffs = [0] * n
     coeffs[0] = divided[n - 1]
-    deg = 0
     for k in range(n - 2, -1, -1):
         # multiply by (t - xs[k]) then add divided[k]
         nxk = L.neg(xs[k])
-        for d in range(deg + 1, 0, -1):
-            coeffs[d] = add(coeffs[d - 1], mul(coeffs[d], nxk))
-        coeffs[0] = mul(coeffs[0], nxk)
-        deg += 1
-        coeffs[0] = add(coeffs[0], divided[k])
+        if nxk:
+            lx = log[nxk]
+            for d in range(n - 1 - k, 0, -1):
+                c = coeffs[d]
+                coeffs[d] = add(coeffs[d - 1], exp[log[c] + lx]) if c else coeffs[d - 1]
+            c = coeffs[0]
+            coeffs[0] = add(exp[log[c] + lx] if c else 0, divided[k])
+        else:
+            coeffs[1:n - k] = coeffs[:n - 1 - k]
+            coeffs[0] = divided[k]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs

@@ -3,9 +3,12 @@
 A point of P^(n-1) over the field of order s is a tuple of element indices
 with first nonzero coordinate 1, numbered in one fixed counting order: the
 census walks its candidates and the divisor search its cells in that
-order. Point counting restricts the form to each fiber over P1(L), at
-(1:t) for t in L and then (0:1), and counts the distinct roots of each
-univariate restriction.
+order. Point counting restricts the form to fibers over P1(L) and counts
+the distinct roots of each univariate restriction: one fiber (1:t) per
+orbit of Frobenius t -> t^q, q the order of the form's field, weighted by
+the orbit's size, and then (0:1). Frobenius fixes the form's coefficients,
+so it maps the points of a fiber one to one onto the next fiber of the
+orbit, and a count takes about |L|/m gcds instead of |L| + 1.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import BadParameters, Infeasible, ZeroPolynomial
-from .gf import UniPoly, extension_field, unipoly_linear_part
+from .gf import UniPoly, extension_field, frobenius_orbits, unipoly_linear_part
 
 __all__ = ["count_points"]
 
@@ -83,6 +86,12 @@ def count_points(F, m=1):
     coefficient is zero, plus deg gcd(g, t^|L| - t) affine points, g the
     restriction at Y0 = 1: t^|L| - t is the squarefree product of t - a
     over a in L, so that degree is the number of distinct roots of g in L.
+
+    Only the least fiber (1:t) of each Frobenius orbit is counted, times
+    the orbit's size. That is exact: with q = |K| for the form's field K,
+    sigma(t) = t^q fixes K, so (x, y) -> (sigma x, sigma y) maps the points
+    over (1:t) one to one onto those over (1:sigma t). About |L|/m gcds
+    are taken in all, plus the one at (0:1).
     """
     if F.is_zero():
         raise ZeroPolynomial("the zero polynomial does not define a curve")
@@ -90,13 +99,15 @@ def count_points(F, m=1):
         raise BadParameters("extension degree must be >= 1")
     L = enumerable_extension(F.field, m)
     G = F.map_field(L)
+    fibers = [(1, orbit[0], len(orbit)) for orbit in frobenius_orbits(L, F.field.order)]
     total = 0
-    for u0, u1 in [(1, t) for t in range(L.order)] + [(0, 1)]:
+    for u0, u1, size in fibers + [(0, 1, 1)]:
         coeffs = G.restrict(u0, u1)
         if not any(coeffs):
-            total += L.order + 1
+            total += size * (L.order + 1)
             continue
+        points = unipoly_linear_part(UniPoly(L, coeffs)).degree
         if coeffs[-1] == 0:
-            total += 1
-        total += unipoly_linear_part(UniPoly(L, coeffs)).degree
+            points += 1
+        total += size * points
     return total

@@ -62,6 +62,7 @@ __all__ = [
     "parse_field_spec",
     "prime_power",
     "field_for",
+    "frobenius_orbits",
     "unipoly_gcd",
     "unipoly_is_irreducible",
     "unipoly_factor",
@@ -346,10 +347,15 @@ def _intern(p, modulus):
 
 
 def _canonical_modulus(base, e):
+    """The first monic irreducible of degree e over base in the scan order.
+    A candidate of degree >= 2 with a root in base (a zero constant digit
+    among them) is reducible, so it is passed over before Rabin's test."""
     for tail in itertools.product(range(base.order), repeat=e):
-        cand = tail + (1,)
-        if unipoly_is_irreducible(UniPoly(base, cand)):
-            return cand
+        f = UniPoly._raw(base, tail + (1,))
+        if e > 1 and any(f.eval_at(a) == 0 for a in range(base.order)):
+            continue
+        if unipoly_is_irreducible(f):
+            return f.coeffs
     raise AssertionError("an irreducible of every degree exists")
 
 
@@ -448,6 +454,23 @@ def field_for(q):
         raise NotPrime(f"{q} is not a prime power")
     p, e = pe
     return extension_field(_prime_field(p), e)
+
+
+def frobenius_orbits(L, q):
+    """The orbits of t -> t^q on L, q the order of a subfield of L, each a
+    list from its least element on, in order of their least elements."""
+    seen = bytearray(L.order)
+    for x0 in range(L.order):
+        if seen[x0]:
+            continue
+        orbit = [x0]
+        seen[x0] = 1
+        x = L.pow_(x0, q)
+        while x != x0:
+            orbit.append(x)
+            seen[x] = 1
+            x = L.pow_(x, q)
+        yield orbit
 
 
 # -- univariate polynomials ---------------------------------------------------

@@ -6,15 +6,18 @@ of all four coordinates, point counts enumerate raw coordinate tuples, ranks
 come from a local row reduction over a prime field, cofactors from the
 linear system of G*H = F solved by a local Gauss-Jordan elimination, and
 resultants from fraction-free elimination on the literal Sylvester matrix.
-Four oracles are the exception and keep a former algorithm instead: the
+Six oracles are the exception and keep a former algorithm instead: the
 census classifier's runs method B in full and method A only when B is over
 budget, and auto_a_then_b runs method A before any of method B, to check
 that is_abs_irreducible's "auto" order gives every verdict and method
 unchanged; resultant_every_node evaluates at every good node rather than
 once per Frobenius orbit, sharing bifill's univariate resultant and
-interpolation; certify_smooth_four_charts walks all four affine charts by
-resultants, sharing certify_smooth's chart step, where certify_smooth
-takes one chart and reads the two lines it misses by gcds.
+interpolating with newton_interp, the interpolation kernel as it was before
+it read the log tables inline; certify_smooth_four_charts walks all four
+affine charts by resultants, sharing certify_smooth's chart step, where
+certify_smooth takes one chart and reads the two lines it misses by gcds;
+canonical_modulus_scan runs Rabin's test on every candidate modulus, with
+no root pre-filter.
 
 The slow enumerators and fixtures that once lived in the package are the
 other exception, and share package code as noted: common_zeros, and
@@ -26,6 +29,8 @@ homogenize inverts dehomogenize through the same chart map;
 binary_form_ok is validate_setup's former per-form test, which also checks
 the reversed polynomial and evaluates at every rational point.
 """
+
+import itertools
 
 from bifill.analysis import (
     SmoothCertificate,
@@ -40,7 +45,6 @@ from bifill.bipoly import (
     CHARTS,
     BiPoly,
     _chart_rows,
-    _newton_interp,
     _uni_resultant,
     binary_eval,
 )
@@ -59,6 +63,7 @@ from bifill.gf import (
     field_for,
     unipoly_factor,
     unipoly_gcd,
+    unipoly_is_irreducible,
     unipoly_roots,
 )
 
@@ -324,7 +329,47 @@ def resultant_every_node(A, B, var):
         ys.append(_uni_resultant(fa, fb))
         if len(xs) == need:
             break
-    return UniPoly(K, _newton_interp(L, xs, ys))
+    return UniPoly(K, newton_interp(L, xs, ys))
+
+
+def newton_interp(L, xs, ys):
+    """Coefficient list (constant first) of the interpolating polynomial."""
+    add, sub, mul, div = L.add, L.sub, L.mul, L.div
+    n = len(xs)
+    divided = list(ys)
+    for j in range(1, n):
+        # forward, holding the previous order-(j-1) difference
+        prev = divided[j - 1]
+        for i in range(j, n):
+            cur = divided[i]
+            divided[i] = div(sub(cur, prev), sub(xs[i], xs[i - j]))
+            prev = cur
+    # Horner expansion of the Newton form into monomial coefficients
+    coeffs = [0] * n
+    coeffs[0] = divided[n - 1]
+    deg = 0
+    for k in range(n - 2, -1, -1):
+        # multiply by (t - xs[k]) then add divided[k]
+        nxk = L.neg(xs[k])
+        for d in range(deg + 1, 0, -1):
+            coeffs[d] = add(coeffs[d - 1], mul(coeffs[d], nxk))
+        coeffs[0] = mul(coeffs[0], nxk)
+        deg += 1
+        coeffs[0] = add(coeffs[0], divided[k])
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def canonical_modulus_scan(base, e):
+    """The first monic irreducible of degree e over base, coefficient tuples
+    constant digit first in lexicographic order, each decided by Rabin's
+    test alone."""
+    for tail in itertools.product(range(base.order), repeat=e):
+        cand = tail + (1,)
+        if unipoly_is_irreducible(UniPoly(base, cand)):
+            return cand
+    raise AssertionError("an irreducible of every degree exists")
 
 
 def certify_smooth_four_charts(F):

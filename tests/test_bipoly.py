@@ -10,6 +10,7 @@ from _oracles import (
     eval_bipoly,
     homogenize,
     linear_divides,
+    newton_interp,
     power_table_eval,
     resultant_every_node,
     sylvester_resultant,
@@ -408,6 +409,22 @@ def test_resultant_orbit_edge_cases(q, A_rows, B_rows):
         r = resultant_elim(P, Q)
         assert r == resultant_every_node(A, B, var)
         assert r == sylvester_resultant(A, B, var)
+
+
+# one field per addition scheme: XOR (GF(32), GF(64/4)), mod p (GF(7)),
+# a flat table (GF(9), GF(81/9), GF(125)) and Zech logarithms (GF(343),
+# GF(729/9))
+INTERP_FIELDS = [(32, 1), (4, 3), (7, 1), (9, 1), (9, 2), (125, 1), (343, 1), (9, 3)]
+
+
+@given(data=st.data())
+def test_interpolation_kernel_matches_the_reference(data):
+    q, m = data.draw(st.sampled_from(INTERP_FIELDS))
+    L = extension_field(field(q), m)
+    n = data.draw(st.integers(1, min(60, L.order)))
+    xs = data.draw(st.lists(st.integers(0, L.order - 1), min_size=n, max_size=n, unique=True))
+    ys = data.draw(st.lists(st.integers(0, L.order - 1), min_size=n, max_size=n))
+    assert bipoly._newton_interp(L, xs, ys) == newton_interp(L, xs, ys)
 
 
 def test_resultant_of_common_factor_is_zero(gf2):

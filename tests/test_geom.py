@@ -167,6 +167,23 @@ def test_ruling_union_count(q, m):
     assert count_points(KX, m) == (q + 1) * (q**m + 1)
 
 
+@pytest.mark.parametrize("q,m,points,gcds", [(2, 10, 1099, 109), (3, 6, 784, 131)])
+def test_count_points_takes_one_fiber_gcd_per_orbit(monkeypatch, q, m, points, gcds):
+    # Frobenius orbits on GF(1024) over GF(2): 108; on GF(729) over GF(3):
+    # 130; plus the fiber at (0:1)
+    calls = []
+    inner = geom.unipoly_linear_part
+
+    def counting(f):
+        calls.append(f.field.order)
+        return inner(f)
+
+    monkeypatch.setattr(geom, "unipoly_linear_part", counting)
+    assert count_points(construct(q), m) == points
+    assert len(calls) == gcds
+    assert set(calls) == {q**m}
+
+
 def test_count_points_rejects_the_zero_form(gf2):
     with pytest.raises(ZeroPolynomial):
         count_points(BiPoly.zero(gf2, 1, 1), 1)

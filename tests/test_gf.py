@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import PointPair, ProjPoint, digit_add, eval_bipoly
+from _oracles import PointPair, ProjPoint, canonical_modulus_scan, digit_add, eval_bipoly
 from bifill import gf
 from bifill.bipoly import parse_bipoly
 from bifill.errors import (
@@ -18,6 +18,7 @@ from bifill.gf import (
     extension_field,
     field_for,
     field_with_modulus,
+    frobenius_orbits,
     parse_field_spec,
     unipoly_factor,
     unipoly_gcd,
@@ -42,6 +43,21 @@ def test_canonical_moduli_frozen():
     assert field(9).modulus == (1, 0, 1)
     assert field(16).modulus == (1, 0, 0, 1, 1)
     assert field(8).modulus == (1, 0, 1, 1)
+
+
+# every base of order at most 16, GF(9) under a non-canonical modulus among
+# them, at e <= 3, and the two extensions the benchmark's counts build
+MODULUS_SCANS = [
+    (spec, e)
+    for spec in [f"q={q}" for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)] + ["p=3,e=2,mod=[2,1,1]"]
+    for e in (1, 2, 3)
+] + [("q=2", 10), ("q=3", 6)]
+
+
+@pytest.mark.parametrize("spec,e", MODULUS_SCANS)
+def test_canonical_modulus_matches_the_plain_scan(spec, e):
+    base = parse_field_spec(spec)
+    assert gf._canonical_modulus(base, e) == canonical_modulus_scan(base, e)
 
 
 def test_tower_modulus_frozen(gf9):
@@ -194,6 +210,17 @@ def test_frobenius_fixed_subfield_count(q, m):
     E = extension_field(K, m)
     fixed = [x for x in range(E.order) if E.pow_(x, q) == x]
     assert len(fixed) == q
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 4), (3, 2), (4, 3), (9, 2)])
+def test_frobenius_orbits_partition_the_field(q, m):
+    E = extension_field(field(q), m)
+    orbits = list(frobenius_orbits(E, q))
+    assert sorted(x for orbit in orbits for x in orbit) == list(range(E.order))
+    assert [orbit[0] for orbit in orbits] == sorted(min(orbit) for orbit in orbits)
+    for orbit in orbits:
+        assert m % len(orbit) == 0
+        assert [E.pow_(x, q) for x in orbit] == orbit[1:] + orbit[:1]
 
 
 # the last spec is GF(9) under the non-canonical modulus t^2 + t + 2
