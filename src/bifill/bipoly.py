@@ -677,40 +677,49 @@ def resultant_elim(A, B):
 
 
 def _newton_interp(L, xs, ys):
-    """Coefficient list (constant first) of the interpolating polynomial.
-    Products and quotients read L's exp/log tables inline; sums go through
-    L.add and L.sub, so one path serves every characteristic."""
-    add, sub = L.add, L.sub
-    exp, log = L._exp, L._log
-    unit = L.order - 1  # exp is doubled: exp[log a - log b + unit] is a/b
+    """Coefficient list (constant first) of the polynomial of least degree
+    through the points (xs[i], ys[i]), the xs distinct: divided differences,
+    then Horner's rule from the Newton form to the monomial basis (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 5).
+
+    Both run on logarithms, with the tables of L.zech() (see Field.zech):
+    a difference is la + zsub[lb - la], a product la + lb, a quotient
+    la - lb, and a read of norm takes each back into range, zero included.
+    So every step is list reads and integer arithmetic, with no field call
+    and no branch on zero, and the same code serves every characteristic."""
+    zsub, norm, zero = L.zech()
+    log, exp = L._log, L._exp
+    unit = L.order - 1
     n = len(xs)
-    divided = list(ys)
+    X = [log[x] if x else zero for x in xs]
+    D = [log[y] if y else zero for y in ys]
     for j in range(1, n):
-        # forward, holding the previous order-(j-1) difference
-        prev = divided[j - 1]
+        # D[i] <- (D[i] - D[i-1]) / (x_i - x_{i-j}), holding the old D[i-1]
+        prev = D[j - 1]
         for i in range(j, n):
-            cur = divided[i]
-            num = sub(cur, prev)
-            if num:
-                num = exp[log[num] - log[sub(xs[i], xs[i - j])] + unit]
-            divided[i] = num
+            cur = D[i]
+            x = X[i]
+            D[i] = norm[cur + zsub[prev - cur] - norm[x + zsub[X[i - j] - x]]]
             prev = cur
-    # Horner expansion of the Newton form into monomial coefficients
-    coeffs = [0] * n
-    coeffs[0] = divided[n - 1]
+    # C <- C*(t - x_k) + D[k], that is C[d] <- C[d-1] - x_k*C[d]
+    C = [zero] * n
+    C[0] = D[n - 1]
     for k in range(n - 2, -1, -1):
-        # multiply by (t - xs[k]) then add divided[k]
-        nxk = L.neg(xs[k])
-        if nxk:
-            lx = log[nxk]
-            for d in range(n - 1 - k, 0, -1):
-                c = coeffs[d]
-                coeffs[d] = add(coeffs[d - 1], exp[log[c] + lx]) if c else coeffs[d - 1]
-            c = coeffs[0]
-            coeffs[0] = add(exp[log[c] + lx] if c else 0, divided[k])
-        else:
-            coeffs[1:n - k] = coeffs[:n - 1 - k]
-            coeffs[0] = divided[k]
+        xk = X[k]
+        if xk == zero:  # x_k = 0 multiplies by t
+            C[1:n - k] = C[:n - 1 - k]
+            C[0] = D[k]
+            continue
+        xk += unit  # norm reads a product shifted by unit
+        top = n - 1 - k
+        high = C[top] = C[top - 1]  # the old C[top] is 0
+        for d in range(top - 1, 0, -1):
+            low = C[d - 1]
+            C[d] = norm[low + zsub[norm[high + xk] - low]]
+            high = low
+        low = D[k]
+        C[0] = norm[low + zsub[norm[high + xk] - low]]
+    coeffs = [exp[c] if c != zero else 0 for c in C]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs

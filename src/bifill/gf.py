@@ -20,14 +20,20 @@ NotASubfield.
 
 Multiplication, inversion and powering go through exp/log tables relative to
 a fixed generator (fields here stay small, a few thousand elements at most).
-An extension builds its tables with UniPoly arithmetic over its base field
-(the prime field for a one-level extension) modulo its modulus; a prime
-field builds them with integer arithmetic mod p.
-Addition needs no table in characteristic 2 (XOR on indices, since digit
-packing is by powers of two at every level) and is mod p in a prime field.
-Other odd-characteristic fields use a flat order^2 table up to order 256 and
-Zech logarithms above it: zech[k] = log(1 + g^k), built once from the
-digitwise base-field addition, so a + b = g^(log a + zech[log b - log a]).
+The generator is the least element of full order, checked by UniPoly powers
+modulo the modulus. Its powers follow one another through the linear map
+"times g" on base-p digits, which is read from tables built out of the
+images g*p^i of the basis (Field._powers); no power takes a polynomial
+product.
+Every field can build its Zech tables (Field.zech), on first use:
+zsub[d] = log(1 - g^d), so a - b = g^(log a + zsub[log b - log a]) and
+a + b = a - (-b), with zero given its own logarithm so that sums, products
+and quotients run on logarithms alone. bipoly's interpolation kernel reads
+them in every characteristic. Addition itself needs no table in
+characteristic 2 (XOR on indices, since digit packing is by powers of two at
+every level) and is mod p in a prime field. Other odd-characteristic fields
+read the Zech table above order 256 and up to it a flat order^2 table of
+bytes, filled from the Zech table.
 
 Towers are capped at height 2: prime -> GF(q) -> GF(q^m).
 
@@ -86,8 +92,9 @@ def _prime_factors(n):
     return out
 
 
-# Flat addition tables cost order^2 ints; up to this order they beat the Zech
-# table (one lookup against three), above it Zech logarithms take over.
+# Flat addition tables cost order^2 bytes, one byte holding an element up to
+# this order; they beat the Zech table (one lookup against three), and above
+# it Zech logarithms take over.
 _ADD_TABLE_MAX_ORDER = 256
 
 
@@ -111,6 +118,7 @@ class Field:
             self._modpoly = None
         else:
             self._modpoly = UniPoly(base if base is not None else _prime_field(p), modulus)
+        self._zech = None
         self._build_mul()
         self._build_add()  # after _build_mul: a Zech table reads exp/log
 
@@ -123,22 +131,28 @@ class Field:
             self.sub = self._add_xor
             self.neg = self._neg_id
             return
-        self._negt = [self._neg_digits(a) for a in range(order)]
+        exp, log = self._exp, self._log
+        half = log[p - 1]  # the prime constant p - 1 is -1
+        self._negt = [0] + [exp[la + half] for la in log[1:]]
         self.neg = self._neg_table
         if e == 1 and self.base is None:
             self.add = self._add_prime
             self.sub = self._sub_prime
-        elif order <= _ADD_TABLE_MAX_ORDER:
-            self._addt = [
-                self._add_digits(a, b) for a in range(order) for b in range(order)
-            ]
+            return
+        zsub, norm, zero = self.zech()
+        if order <= _ADD_TABLE_MAX_ORDER:
+            # a + b = a - (-b) read off the Zech tables, one byte an entry
+            n = order - 1
+            ex = exp[:n] + [0] * n  # ex[zero] = 0
+            minus = [log[b] if b else zero for b in self._negt]
+            self._addt = b"".join(
+                bytes([ex[norm[la + zsub[lb - la]]] for lb in minus])
+                for la in [zero] + log[1:]
+            )
             self.add = self._add_flat
             self.sub = self._sub_flat
         else:
-            # zech[k] = log(1 + g^k), -1 where 1 + g^k = 0
-            log = self._log
-            sums = [self._add_digits(1, x) for x in self._exp[: order - 1]]
-            self._zech = [log[v] if v else -1 for v in sums]
+            self._zsub = zsub
             self.add = self._add_zech
             self.sub = self._sub_zech
 
@@ -157,14 +171,106 @@ class Field:
             if g is None:
                 raise AssertionError(f"no generator of GF({order})* found")
         self.generator = g
-        exp = [1] * (order - 1)
-        for i in range(1, order - 1):
-            exp[i] = self._mul_raw(exp[i - 1], g)
+        ints = list(range(order))  # every table holds these int objects
+        exp = self._powers(g, ints)
         log = [0] * order
-        for i, v in enumerate(exp):
+        for i, v in zip(ints, exp):
             log[v] = i
         self._exp = exp + exp  # doubled: no modular reduction on mul/div
         self._log = log
+
+    def _powers(self, g, ints):
+        """[g^0, g^1, ..., g^(order-2)], each power the previous one times g,
+        held as the int objects of ints.
+
+        Multiplication by g is linear over GF(p) in the base-p digits of an
+        index: every level packs its digits by powers of p and adds them
+        digitwise mod p. So with a = lo + hi*p^c, lo the low c digits, a*g
+        is the digitwise sum of lo*g and (hi*p^c)*g, read from the tables
+        low and high. Those hold each digit in a field of w bits, room for
+        the sum of two digits, so one integer addition forms the digitwise
+        sum and `back` reduces each half of it mod p into an index. The
+        tables are sums of the images g*p^i of the basis, one _mul_raw each.
+        """
+        p, n = self.p, self.order - 1
+        digits = 1
+        while p**digits < self.order:
+            digits += 1
+        c = (digits + 1) // 2
+        pc = p**c
+        w = (2 * p - 2).bit_length()
+        shift = w * c
+        mask = (1 << shift) - 1
+        spread = [0]  # spread[v]: the c digits of v, one per w-bit field
+        back = [0]  # back[u]: the index of u's c fields, each taken mod p
+        for i in range(c):
+            spread = [x + (d << (w * i)) for d in range(p) for x in spread]
+            back = [x + (d % p) * p**i for d in range(1 << w) for x in back]
+
+        def spread_of(x):
+            return spread[x % pc] + (spread[x // pc] << shift)
+
+        def index_of_sum(u):
+            return back[u & mask] + back[u >> shift] * pc
+
+        def images(first, count):  # spread (v * p^first) * g for v < p^count
+            out = [0]
+            for i in range(first, first + count):
+                col = spread_of(self._mul_raw(p**i, g))
+                mults = [0]
+                for _ in range(p - 1):
+                    mults.append(spread_of(index_of_sum(mults[-1] + col)))
+                out = [spread_of(index_of_sum(x + m)) for m in mults for x in out]
+            return out
+
+        low, high = images(0, c), images(c, digits - c)
+        exp = [ints[1]] * n
+        a = 1
+        for i in range(1, n):
+            u = low[a % pc] + high[a // pc]  # index_of_sum, inline
+            a = back[u & mask] + back[u >> shift] * pc
+            exp[i] = ints[a]
+        return exp
+
+    def zech(self):
+        """The Zech tables (zsub, norm, zero), built on first use and kept.
+
+        Nonzero elements have logarithms in range(n), n = order - 1, and 0
+        gets the logarithm zero = 2n - 1. For a and b with logarithms la and
+        lb, either of them zero, la + zsub[lb - la] is a logarithm of a - b:
+        off by a multiple of n, or in [3n - 1, 6n - 3] when a - b = 0. norm
+        takes such a sum back to range(n), or to zero. zsub is read at d in
+        [-(2n-1), 2n-1] and holds
+          log(1 - g^d) at 0 < |d| < n, which Field.sub and Field.add read;
+          4n - 2 at d = 0, where a = b;
+          0 at n <= d, where lb = zero and a - b = a;
+          (lb + log(-1) + 1) % n at d <= -n, where la = zero (2n = zero + 1).
+        norm is read at k in [-(n-1), 6n-3]: it holds k % n below 3n - 1
+        and zero from there on. That range also takes a difference over a
+        nonzero difference, la + zsub[.] - lx with lx in range(n), and a
+        product shifted by n, la + lb + n, so bipoly's interpolation kernel
+        runs on logarithms with no branch on zero. Negative indices wrap to
+        the end of each list; the ints of range(n) in both lists are the
+        objects _log holds.
+        """
+        if self._zech is None:
+            n = self.order - 1
+            exp, log = self._exp, self._log
+            logs = [log[x] for x in exp[:n]]
+            half = log[self.p - 1]  # the prime constant p - 1 is -1
+            zero = 2 * n - 1
+            s = self.s
+            base = self._modpoly.field if self._modpoly is not None else None
+            # g^d - 1 is g^d with its constant digit lowered by one, and
+            # 1 - g^d = -(g^d - 1)
+            dec = [base.sub(c, 1) if base else (c - 1) % s for c in range(s)]
+            zs = [logs[(log[x - x % s + dec[x % s]] + half) % n] for x in exp[1:n]]
+            zsub = [4 * n - 2] + zs + [0] * n
+            zsub += [logs[(u + half + 1) % n] for u in range(n)] + zs  # zero + 1 = 2n
+            norm = [logs[k % n] for k in range(3 * n - 1)] + [zero] * (3 * n - 1)
+            norm += [logs[k % n] for k in range(1 - n, 0)]
+            self._zech = (zsub, norm, zero)
+        return self._zech
 
     # -- digit packing -------------------------------------------------------
 
@@ -210,41 +316,23 @@ class Field:
     def _add_zech(self, a, b):
         if not a or not b:
             return a or b
+        nb = self._negt[b]  # a + b = a - (-b)
+        if a == nb:
+            return 0
         log = self._log
         la = log[a]
-        z = self._zech[log[b] - la]
-        return 0 if z < 0 else self._exp[la + z]
+        return self._exp[la + self._zsub[log[nb] - la]]
 
     def _sub_zech(self, a, b):
-        return self._add_zech(a, self._negt[b])
-
-    def _add_digits(self, a, b):
-        s = self.s
-        base = self.base
-        badd = base.add if base is not None else None
-        out = 0
-        mult = 1
-        while a or b:
-            da, db = a % s, b % s
-            d = badd(da, db) if badd is not None else (da + db) % self.p
-            out += d * mult
-            mult *= s
-            a //= s
-            b //= s
-        return out
-
-    def _neg_digits(self, a):
-        s = self.s
-        base = self.base
-        out = 0
-        mult = 1
-        while a:
-            d = a % s
-            nd = base.neg(d) if base is not None else (self.p - d) % self.p
-            out += nd * mult
-            mult *= s
-            a //= s
-        return out
+        if not b:
+            return a
+        if a == b:
+            return 0
+        if not a:
+            return self._negt[b]
+        log = self._log
+        la = log[a]
+        return self._exp[la + self._zsub[log[b] - la]]
 
     # -- multiplication ------------------------------------------------------
 

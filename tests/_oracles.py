@@ -6,7 +6,7 @@ of all four coordinates, point counts enumerate raw coordinate tuples, ranks
 come from a local row reduction over a prime field, cofactors from the
 linear system of G*H = F solved by a local Gauss-Jordan elimination, and
 resultants from fraction-free elimination on the literal Sylvester matrix.
-Six oracles are the exception and keep a former algorithm instead: the
+Seven oracles are the exception and keep a former algorithm instead: the
 census classifier's runs method B in full and method A only when B is over
 budget, and auto_a_then_b runs method A before any of method B, to check
 that is_abs_irreducible's "auto" order gives every verdict and method
@@ -17,7 +17,9 @@ it read the log tables inline; certify_smooth_four_charts walks all four
 affine charts by resultants, sharing certify_smooth's chart step, where
 certify_smooth takes one chart and reads the two lines it misses by gcds;
 canonical_modulus_scan runs Rabin's test on every candidate modulus, with
-no root pre-filter.
+no root pre-filter; exp_table_by_products finds the generator and builds
+the exp table with one _mul_raw product per power, as Field._build_mul did
+before it read a linear map.
 
 The slow enumerators and fixtures that once lived in the package are the
 other exception, and share package code as noted: common_zeros, and
@@ -59,6 +61,7 @@ from bifill.filling import frobenius_forms
 from bifill.geom import enumerable_extension
 from bifill.gf import (
     UniPoly,
+    _prime_factors,
     extension_field,
     field_for,
     unipoly_factor,
@@ -359,6 +362,27 @@ def newton_interp(L, xs, ys):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def exp_table_by_products(K):
+    """(generator, [g^0, ..., g^(order-2)]) of K: the least element whose
+    order is order - 1, and its powers, each the previous one times g by
+    K._mul_raw (a UniPoly product reduced by the modulus)."""
+    order = K.order
+    if order == 2:
+        g = 1
+    else:
+        n = order - 1
+        checks = [n // r for r in _prime_factors(n)]
+        g = None
+        for cand in range(2, order):
+            if all(K._pow_raw(cand, c) != 1 for c in checks):
+                g = cand
+                break
+    exp = [1] * (order - 1)
+    for i in range(1, order - 1):
+        exp[i] = K._mul_raw(exp[i - 1], g)
+    return g, exp
 
 
 def canonical_modulus_scan(base, e):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given
@@ -31,7 +32,7 @@ from bifill.errors import (
     ParseError,
     ZeroDivisor,
 )
-from bifill.gf import extension_field, parse_field_spec
+from bifill.gf import UniPoly, extension_field, parse_field_spec
 
 
 def field(q):
@@ -413,8 +414,10 @@ def test_resultant_orbit_edge_cases(q, A_rows, B_rows):
 
 # one field per addition scheme: XOR (GF(32), GF(64/4)), mod p (GF(7)),
 # a flat table (GF(9), GF(81/9), GF(125)) and Zech logarithms (GF(343),
-# GF(729/9))
-INTERP_FIELDS = [(32, 1), (4, 3), (7, 1), (9, 1), (9, 2), (125, 1), (343, 1), (9, 3)]
+# GF(729/9)); then the fields the benchmark's resultants interpolate in:
+# GF(1331), GF(2197), GF(4096/16) and GF(1024)
+INTERP_FIELDS = [(32, 1), (4, 3), (7, 1), (9, 1), (9, 2), (125, 1), (343, 1), (9, 3),
+                 (1331, 1), (2197, 1), (16, 3), (1024, 1)]
 
 
 @given(data=st.data())
@@ -423,8 +426,52 @@ def test_interpolation_kernel_matches_the_reference(data):
     L = extension_field(field(q), m)
     n = data.draw(st.integers(1, min(60, L.order)))
     xs = data.draw(st.lists(st.integers(0, L.order - 1), min_size=n, max_size=n, unique=True))
-    ys = data.draw(st.lists(st.integers(0, L.order - 1), min_size=n, max_size=n))
+    if 0 not in xs and data.draw(st.booleans()):
+        xs[data.draw(st.integers(0, n - 1))] = 0
+    value = st.one_of(st.just(0), st.integers(0, L.order - 1))
+    ys = data.draw(st.lists(value, min_size=n, max_size=n))
     assert bipoly._newton_interp(L, xs, ys) == newton_interp(L, xs, ys)
+
+
+@pytest.mark.parametrize("q", [8, 9, 25])
+def test_interpolation_through_every_element(q):
+    L = field(q)
+    rng = random.Random(q)
+    xs = list(range(L.order))
+    rng.shuffle(xs)
+    low = UniPoly(L, [rng.randrange(L.order) for _ in range(4)])
+    for ys in (
+        [rng.randrange(L.order) for _ in xs],
+        [rng.choice([0, 1, L.order - 1]) for _ in xs],
+        [0] * L.order,
+        [low.eval_at(x) for x in xs],  # the high divided differences vanish
+    ):
+        assert bipoly._newton_interp(L, xs, ys) == newton_interp(L, xs, ys)
+    assert bipoly._newton_interp(L, xs, [low.eval_at(x) for x in xs]) == list(low.coeffs)
+
+
+@pytest.mark.parametrize("q,m", [(32, 1), (343, 1), (16, 3)])
+def test_interpolation_kernel_calls_no_field_arithmetic(q, m):
+    L = extension_field(field(q), m)
+    rng = random.Random(L.order)
+    xs = [0] + rng.sample(range(1, L.order), 29)
+    ys = [rng.choice([0, rng.randrange(L.order)]) for _ in xs]
+
+    def refuse(*args):
+        raise AssertionError("field arithmetic inside the interpolation kernel")
+
+    saved = {name: L.__dict__.get(name) for name in ("add", "sub", "mul", "neg")}
+    try:
+        for name in saved:
+            setattr(L, name, refuse)
+        got = bipoly._newton_interp(L, xs, ys)
+    finally:
+        for name, method in saved.items():
+            if method is None:
+                delattr(L, name)
+            else:
+                setattr(L, name, method)
+    assert got == newton_interp(L, xs, ys)
 
 
 def test_resultant_of_common_factor_is_zero(gf2):

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import PointPair, ProjPoint, canonical_modulus_scan, digit_add, eval_bipoly
+from _oracles import (
+    PointPair,
+    ProjPoint,
+    canonical_modulus_scan,
+    digit_add,
+    eval_bipoly,
+    exp_table_by_products,
+)
 from bifill import gf
 from bifill.bipoly import parse_bipoly
 from bifill.errors import (
@@ -88,6 +95,66 @@ def test_generator_powers_frozen(q, m, powers):
     assert (K.base is not None) == (m > 1)
     assert [K.pow_(K.generator, k) for k in range(5)] == powers
     assert sorted(K._exp[: K.order - 1]) == list(range(1, K.order))
+
+
+# prime fields, one-level extensions, towers and GF(9) under the
+# non-canonical modulus t^2 + t + 2, with a tower over it
+EXP_SPECS = ["q=2", "q=3", "q=13", "q=4", "q=8", "q=9", "q=27", "q=32", "q=81",
+             "q=125", "q=243", "q=343", "q=625", "q=729", "q=1024", "q=1331",
+             "q=2197", "q=4096", "p=3,e=2,mod=[2,1,1]"]
+EXP_TOWERS = [("q=4", 3), ("q=8", 3), ("q=9", 2), ("q=9", 3), ("q=16", 2),
+              ("q=16", 3), ("q=25", 2), ("p=3,e=2,mod=[2,1,1]", 2)]
+
+
+def test_exp_tables_match_the_product_loop():
+    for spec in EXP_SPECS:
+        parse_field_spec(spec)
+    for spec, m in EXP_TOWERS:
+        extension_field(parse_field_spec(spec), m)
+    # and every other field the tests have built so far
+    fields = [K for K in gf._FIELDS.values() if K.order <= 4096]
+    assert len(fields) >= len(EXP_SPECS) + len(EXP_TOWERS)
+    for K in fields:
+        g, exp = exp_table_by_products(K)
+        assert K.generator == g
+        assert K._exp == exp + exp
+        log = [0] * K.order
+        for i, v in enumerate(exp):
+            log[v] = i
+        assert K._log == log
+
+
+def minus(K, b):
+    """-b in K as (p - 1) * b, summed digit by digit."""
+    out = 0
+    for _ in range(K.p - 1):
+        out = digit_add(K, out, b)
+    return out
+
+
+# every pair over the small fields, 3000 pairs with zeros over GF(343)
+@pytest.mark.parametrize("spec", ["q=2", "q=3", "q=4", "q=9", "q=32", "q=81",
+                                  "q=343", "p=3,e=2,mod=[2,1,1]"])
+def test_zech_tables_subtract_and_multiply_through_zero(spec):
+    K = parse_field_spec(spec)
+    zsub, norm, zero = K.zech()
+    n = K.order - 1
+    assert len(zsub) == 4 * n - 1 and len(norm) == 7 * n - 3
+
+    def lg(a):
+        return K._log[a] if a else zero
+
+    if K.order <= 81:
+        pairs = [(a, b) for a in range(K.order) for b in range(K.order)]
+    else:
+        rng = random.Random(K.order)
+        pairs = [(rng.randrange(K.order), rng.randrange(K.order)) for _ in range(3000)]
+        pairs += [(a, 0) for a, _ in pairs[:20]] + [(0, b) for _, b in pairs[:20]]
+        pairs += [(a, a) for a, _ in pairs[:20]] + [(0, 0)]
+    for a, b in pairs:
+        la, lb = lg(a), lg(b)
+        assert norm[la + zsub[lb - la]] == lg(digit_add(K, a, minus(K, b)))
+        assert norm[la + lb + n] == lg(K.mul(a, b))
 
 
 def test_extension_degree_one_is_identity(gf3):
@@ -187,12 +254,29 @@ def test_add_and_sub_match_the_digit_loop(q, m):
     assert all(digit_add(K, x, K.neg(x)) == 0 for x in xs)
 
 
+def test_zech_sub_never_calls_add(monkeypatch):
+    K = field_for(2197)
+
+    def refuse(a, b):
+        raise AssertionError("Field.sub went through Field.add")
+
+    monkeypatch.setattr(K, "add", refuse)
+    rng = random.Random(2197)
+    for _ in range(500):
+        a, b = rng.randrange(K.order), rng.randrange(K.order)
+        assert digit_add(K, K.sub(a, b), b) == a
+    assert K.sub(5, 5) == 0 and K.sub(5, 0) == 5 and digit_add(K, K.sub(0, 5), 5) == 0
+
+
 def test_no_field_adds_digit_by_digit_at_runtime():
+    table_sums = {gf.Field._add_xor, gf.Field._add_prime, gf.Field._add_flat,
+                  gf.Field._add_zech, gf.Field._sub_prime, gf.Field._sub_flat,
+                  gf.Field._sub_zech}
     for q, m in ADD_FIELDS + AXIOM_FIELDS:
         extension_field(field_for(q), m)
     for K in gf._FIELDS.values():
-        assert K.add.__func__ is not gf.Field._add_digits
-        assert K.sub.__func__ is not gf.Field._add_digits
+        assert K.add.__func__ in table_sums
+        assert K.sub.__func__ in table_sums
 
 
 def test_division_by_zero_is_both_types(gf5):
