@@ -705,12 +705,7 @@ def _newton_interp(L, xs, ys):
     C = [zero] * n
     C[0] = D[n - 1]
     for k in range(n - 2, -1, -1):
-        xk = X[k]
-        if xk == zero:  # x_k = 0 multiplies by t
-            C[1:n - k] = C[:n - 1 - k]
-            C[0] = D[k]
-            continue
-        xk += unit  # norm reads a product shifted by unit
+        xk = X[k] + unit  # norm reads a product shifted by unit
         top = n - 1 - k
         high = C[top] = C[top - 1]  # the old C[top] is 0
         for d in range(top - 1, 0, -1):

@@ -233,7 +233,9 @@ def test_characteristic(qm, data):
 
 # (q, m) as in AXIOM_FIELDS: GF(9) and GF(243) add by the flat table, the
 # rest, GF(729/9) and GF(625/25) among them, by Zech logarithms
-ADD_FIELDS = [(9, 1), (243, 1), (343, 1), (625, 1), (729, 1), (2197, 1), (9, 3), (25, 2)]
+ADD_FIELDS = [
+    (9, 1), (243, 1), (343, 1), (625, 1), (729, 1), (1331, 1), (2197, 1), (9, 3), (25, 2),
+]
 
 
 @pytest.mark.parametrize("q,m", ADD_FIELDS)
