@@ -25,7 +25,6 @@ from .analysis import (
 )
 from .bipoly import (
     CHARTS,
-    AffinePoly,
     BiPoly,
     divides,
     parse_bipoly,

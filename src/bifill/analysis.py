@@ -3,20 +3,22 @@ absolute irreducibility testing.
 
 The smoothness certificate covers P1xP1 by one affine chart, two lines and
 a corner. The system is the form together with its four partials (the form
-itself is kept: in characteristic p the Euler relations can degenerate).
-In the X0Y0 chart, candidate x-coordinates of singular points are pinned
-down by a gcd accumulated over the members that only involve x and over
-pairwise resultants of the rest: a common zero roots every one of those, so
-the accumulated gcd is a complete filter, and it usually collapses to a
-constant after one or two resultants, which certifies the chart without
-any factoring. Surviving irreducible factors m(x) are checked exactly:
-substitute a root of m over GF(q^deg m) into every member and take the
-monic gcd in y; positive degree certifies a singular point, and the chart
-with the (m, gcd) pair is the witness. The chart misses the lines Y0 = 0
-and X0 = 0, where the members restrict to univariate polynomials: a gcd
-decides each line, and the corner X0 = Y0 = 0 is one evaluation. Their
-witnesses are written in the chart that holds the point (X0Y1, X1Y0 or
-X1Y1), in the same (m, gcd) form.
+itself is kept: in characteristic p the Euler relations can degenerate),
+built once per certificate. A member in a chart is the trimmed form that
+BiPoly.dehomogenize returns: [i][j] multiplies x^i y^j, and (a, b) are its
+degrees in x and y. In the X0Y0 chart, candidate x-coordinates of singular
+points are pinned down by a gcd accumulated over the members that only
+involve x and over pairwise resultants of the rest: a common zero roots
+every one of those, so the accumulated gcd is a complete filter, and it
+usually collapses to a constant after one or two resultants, which
+certifies the chart without any factoring. Surviving irreducible factors
+m(x) are checked exactly: substitute a root of m over GF(q^deg m) into
+every member and take the monic gcd in y; positive degree certifies a
+singular point, and the chart with the (m, gcd) pair is the witness. The
+chart misses the lines Y0 = 0 and X0 = 0, where the members restrict to
+univariate polynomials: a gcd decides each line, and the corner
+X0 = Y0 = 0 is one evaluation. Their witnesses are written in the chart
+that holds the point (X0Y1, X1Y0 or X1Y1), in the same (m, gcd) form.
 
 Absolute irreducibility runs two routes. Route A: a smooth form with both
 bi-degree entries positive is irreducible over the closure, because on this
@@ -106,13 +108,13 @@ class SmoothCertificate:
         }
 
 
-def _chart_members(F, chart, orientation):
-    """Nonzero dehomogenized system members, deduplicated; orientation "x"
-    swaps the chart coordinates so the shared machinery always eliminates
-    the second variable."""
+def _chart_members(system, chart, orientation):
+    """Nonzero dehomogenized members of the five-form system, deduplicated;
+    orientation "x" swaps the chart coordinates so the shared machinery
+    always eliminates the second variable."""
     members = []
     seen = set()
-    for form in jacobian_system(F):
+    for form in system:
         aff = form.dehomogenize(chart)
         if aff.is_zero():
             continue
@@ -133,20 +135,15 @@ def _root_in_splitting_field(K, mpoly):
     return E, min(roots)
 
 
-def _substitute(members, E, xbar):
-    """Specialize each member at x = xbar, giving y-polynomials over E."""
-    out = []
-    for mem in members:
-        coeffs = [xp.map_field(E).eval_at(xbar) for xp in mem.y_coeffs()]
-        out.append(UniPoly(E, coeffs))
-    return out
-
-
 def _factor_verdict(members, K, mpoly):
     """Monic gcd in y of the system specialized at a root of m, or the
     formal certificate y when every member vanishes there."""
     E, xbar = _root_in_splitting_field(K, mpoly)
-    subs = [s for s in _substitute(members, E, xbar) if not s.is_zero()]
+    subs = []
+    for mem in members:
+        s = UniPoly(E, [xp.map_field(E).eval_at(xbar) for xp in mem.y_coeffs()])
+        if not s.is_zero():
+            subs.append(s)
     if not subs:
         return UniPoly(E, (0, 1))  # any y: certify with the root y = 0
     G = subs[0].monic()
@@ -174,7 +171,7 @@ def _single_witness(K, A, chart, orientation):
     """A single bivariate equation always has zeros over the closure:
     certify one over a root of a modulus that avoids its leading
     coefficient."""
-    mpoly = _modulus_avoiding(K, A.y_coeffs()[A.deg_y])
+    mpoly = _modulus_avoiding(K, A.y_coeffs()[A.b])
     G = _factor_verdict([A], K, mpoly)
     if G is None:
         raise AssertionError(f"chart {chart} has no zero over the root of {mpoly}")
@@ -187,8 +184,8 @@ def _certify_chart(K, members, chart, orientation, trace):
     xonly = []
     ypos = []
     for mem in members:
-        if mem.deg_y == 0:
-            xonly.append(mem.as_unipoly())
+        if mem.b == 0:
+            xonly.append(mem.y_coeffs()[0])
         else:
             ypos.append(mem)
     D = None
@@ -233,7 +230,7 @@ def _certify_chart(K, members, chart, orientation, trace):
     return "smooth", None
 
 
-def _line_witness(F, K, trace):
+def _line_witness(system, K, trace):
     """First singular point off the X0Y0 chart, as a Witness, or None.
 
     Off that chart lie the line Y0 = 0 without the corner (chart X0Y1, at
@@ -245,7 +242,7 @@ def _line_witness(F, K, trace):
     Y0 = 0, and modulus t for the points at x = 0.
     """
     t = UniPoly(K, (0, 1))
-    members = _chart_members(F, "X0Y1", "y")
+    members = _chart_members(system, "X0Y1", "y")
     D = None
     for mem in members:
         u = UniPoly(K, [row[0] for row in mem.rows])
@@ -260,19 +257,19 @@ def _line_witness(F, K, trace):
         # orientation, where t constrains y
         if len(members) == 1:
             return _single_witness(K, members[0], "X0Y1", "y")
-        members = _chart_members(F, "X0Y1", "x")
+        members = _chart_members(system, "X0Y1", "x")
         return Witness("X0Y1", "x", t, _factor_verdict(members, K, t))
     if D.degree > 0:
         # every member vanishes at (root of m, 0), so the gcd in y holds y
         mpoly = unipoly_factor(D)[0][0]
         return Witness("X0Y1", "y", mpoly, _factor_verdict(members, K, mpoly))
-    members = _chart_members(F, "X1Y0", "y")
+    members = _chart_members(system, "X1Y0", "y")
     G = _factor_verdict(members, K, t)
     trace.append({"chart": "X1Y0", "orientation": "y", "pair": "line",
                   "degree": G.degree if G is not None else 0})
     if G is not None:
         return Witness("X1Y0", "y", t, G)
-    members = _chart_members(F, "X1Y1", "y")
+    members = _chart_members(system, "X1Y1", "y")
     singular = all(mem.rows[0][0] == 0 for mem in members)
     trace.append({"chart": "X1Y1", "orientation": "y", "pair": "corner",
                   "degree": int(singular)})
@@ -295,15 +292,16 @@ def certify_smooth(F):
     if F.is_zero():
         raise ZeroPolynomial("the zero polynomial does not define a curve")
     K = F.field
+    system = jacobian_system(F)
     trace = []
     for orientation in ("y", "x"):
-        members = _chart_members(F, "X0Y0", orientation)
+        members = _chart_members(system, "X0Y0", orientation)
         state, witness = _certify_chart(K, members, "X0Y0", orientation, trace)
         if state == "singular":
             return SmoothCertificate("Singular", witness, tuple(trace))
         if state == "smooth":
             break
-    witness = _line_witness(F, K, trace)
+    witness = _line_witness(system, K, trace)
     if witness is not None:
         return SmoothCertificate("Singular", witness, tuple(trace))
     if state == "degenerate":
@@ -321,7 +319,7 @@ def verify_witness(F, cert):
     K = F.field
     if w.modulus.field is not K or not unipoly_is_irreducible(w.modulus):
         return False
-    members = _chart_members(F, w.chart, w.orientation)
+    members = _chart_members(jacobian_system(F), w.chart, w.orientation)
     G = _factor_verdict(members, K, w.modulus)
     if G is None:
         return False

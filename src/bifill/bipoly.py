@@ -3,9 +3,10 @@
 A form of bi-degree (a,b) is stored as an (a+1) x (b+1) matrix of element
 indices; entry [i][j] multiplies X0^(a-i) X1^i Y0^(b-j) Y1^j. The zero
 polynomial is representable at every declared bi-degree, and bi-homogeneity
-is structural. Affine chart polynomials are read-only views of a form in
-one chart, for the smoothness certificate and the resultants; their
-matrices are trimmed so the declared degrees are the actual ones.
+is structural. A chart polynomial is a form too: the form of least
+bi-degree whose X0Y0 chart it is, so entry [i][j] multiplies x^i y^j and
+(a, b) are its exact degrees in x and y. One type thus serves the
+smoothness certificate, the resultants and any product of charts.
 
 Text grammar:  poly := term ('+' term)*
                term := [coeff '*'] factor ('*' factor)*
@@ -36,7 +37,6 @@ from .gf import UniPoly, extension_field, frobenius_orbits
 
 __all__ = [
     "BiPoly",
-    "AffinePoly",
     "parse_bipoly",
     "divides",
     "resultant_elim",
@@ -137,7 +137,7 @@ class BiPoly:
 
     def transpose(self):
         """Swap the roles of the X and Y variable blocks."""
-        return BiPoly._raw(self.field, self.b, self.a, _transpose_rows(self.rows))
+        return BiPoly._raw(self.field, self.b, self.a, tuple(zip(*self.rows)))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -175,20 +175,40 @@ class BiPoly:
     # -- charts --------------------------------------------------------------
 
     def dehomogenize(self, chart):
-        """Affine polynomial with the two chart variables set to 1.
+        """The chart polynomial with the two chart variables set to 1, as
+        the trimmed form whose X0Y0 chart it is.
 
         Chart X0Y0 reads (x,y) = (X1, Y1); each killed index is reversed,
         so chart X1Y0 reads (x,y) = (X0, Y1), and so on.
         """
-        return AffinePoly(self.field, _chart_rows(self.rows, self.a, self.b, chart))
+        return _trimmed(self.field, _chart_rows(self.rows, chart))
+
+    def y_coeffs(self):
+        """The X0Y0 chart read by columns: entry j is the x-polynomial
+        multiplying y^j."""
+        F = self.field
+        return [UniPoly(F, col) for col in zip(*self.rows)]
 
     # -- text and JSON -------------------------------------------------------
 
     def text(self):
-        a, b = self.a, self.b
-        return _text(self.field, self.rows, lambda i, j: (
-            _power("X0", a - i) + _power("X1", i) + _power("Y0", b - j) + _power("Y1", j)
-        ))
+        """Canonical text: one term per nonzero entry, the coefficient left
+        out when it is 1 and a variable follows, joined by ' + '."""
+        F, a, b = self.field, self.a, self.b
+        parts = []
+        for i, row in enumerate(self.rows):
+            for j, c in enumerate(row):
+                if c == 0:
+                    continue
+                fs = (_power("X0", a - i) + _power("X1", i)
+                      + _power("Y0", b - j) + _power("Y1", j))
+                if not fs:
+                    parts.append(F.text_of(c))
+                elif c == 1:
+                    parts.append("*".join(fs))
+                else:
+                    parts.append("*".join([F.text_of(c)] + fs))
+        return " + ".join(parts) if parts else "0"
 
     def to_json(self):
         return {
@@ -211,25 +231,6 @@ def _power(var, k):
     if k == 0:
         return []
     return [var if k == 1 else f"{var}^{k}"]
-
-
-def _text(F, rows, factors):
-    """Canonical text of a coefficient matrix: one term per nonzero entry
-    [i][j], the coefficient (left out when it is 1 and a factor follows)
-    times the strings of factors(i, j), joined by ' + '."""
-    parts = []
-    for i, row in enumerate(rows):
-        for j, c in enumerate(row):
-            if c == 0:
-                continue
-            fs = factors(i, j)
-            if not fs:
-                parts.append(F.text_of(c))
-            elif c == 1:
-                parts.append("*".join(fs))
-            else:
-                parts.append("*".join([F.text_of(c)] + fs))
-    return " + ".join(parts) if parts else "0"
 
 
 def _restrict_rows(F, rows, x0, x1):
@@ -284,89 +285,28 @@ def _convolve(F, rows1, rows2):
     return out
 
 
-def _transpose_rows(rows):
-    return tuple(zip(*rows))
-
-
-def _chart_rows(rows, a, b, chart):
-    """The (a+1) x (b+1) matrix of a form from its chart polynomial's rows,
-    or back: each killed index is reversed. The map is its own inverse."""
+def _chart_rows(rows, chart):
+    """A form's matrix read in a chart, or back: each killed index is
+    reversed. The map is its own inverse."""
     if chart not in CHARTS:
         raise ValueError(f"unknown chart {chart!r}")
-    rev_i = chart[:2] == "X1"
-    rev_j = chart[2:] == "Y1"
-    out = [[0] * (b + 1) for _ in range(a + 1)]
-    for i, row in enumerate(rows):
-        ti = a - i if rev_i else i
-        for j, c in enumerate(row):
-            out[ti][b - j if rev_j else j] = c
-    return out
+    if chart[:2] == "X1":
+        rows = rows[::-1]
+    if chart[2:] == "Y1":
+        rows = [r[::-1] for r in rows]
+    return rows
 
 
-class AffinePoly:
-    """Read-only bivariate chart polynomial; [i][j] multiplies x^i y^j; the
-    stored matrix is trimmed so deg_x, deg_y are exact (the zero polynomial
-    is the 1 x 1 zero matrix). Certificates and resultants read it; all
-    arithmetic happens on forms (BiPoly) and coefficients (UniPoly)."""
-
-    __slots__ = ("field", "deg_x", "deg_y", "rows")
-
-    def __init__(self, field, rows):
-        rows = [list(r) for r in rows]
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
-            raise BadShape("ragged coefficient matrix")
-        while len(rows) > 1 and all(c == 0 for c in rows[-1]):
-            rows.pop()
-        w = len(rows[0])
-        while w > 1 and all(r[w - 1] == 0 for r in rows):
-            w -= 1
-        rows = [r[:w] for r in rows]
-        self.field = field
-        self.deg_x = len(rows) - 1
-        self.deg_y = w - 1
-        self.rows = tuple(tuple(r) for r in rows)
-
-    def is_zero(self):
-        return self.deg_x == 0 and self.deg_y == 0 and self.rows[0][0] == 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffinePoly)
-            and self.field is other.field
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.rows))
-
-    def transpose(self):
-        """Swap the roles of x and y."""
-        return AffinePoly(self.field, _transpose_rows(self.rows))
-
-    def eval_at(self, x, y):
-        F = self.field
-        return binary_eval(F, _restrict_rows(F, self.rows, 1, x), 1, y)
-
-    def y_coeffs(self):
-        """Coefficients as polynomials in x: entry j is the x-polynomial
-        multiplying y^j."""
-        F = self.field
-        return [
-            UniPoly(F, [self.rows[i][j] for i in range(self.deg_x + 1)])
-            for j in range(self.deg_y + 1)
-        ]
-
-    def as_unipoly(self):
-        """The x-polynomial of a chart polynomial free of y."""
-        if self.deg_y != 0:
-            raise BadShape("polynomial still involves y")
-        return UniPoly(self.field, [r[0] for r in self.rows])
-
-    def text(self):
-        return _text(self.field, self.rows, lambda i, j: _power("x", i) + _power("y", j))
-
-    def __repr__(self):
-        return self.text()
+def _trimmed(K, rows):
+    """The form of least bi-degree holding the matrix rows: zero last rows
+    and columns cut, down to the 1 x 1 zero."""
+    a = len(rows) - 1
+    while a and not any(rows[a]):
+        a -= 1
+    b = len(rows[0]) - 1
+    while b and not any(rows[i][b] for i in range(a + 1)):
+        b -= 1
+    return BiPoly._raw(K, a, b, tuple(tuple(r[: b + 1]) for r in rows[: a + 1]))
 
 
 # -- parsing -------------------------------------------------------------------
@@ -618,8 +558,10 @@ def _uni_resultant(a, b):
 
 
 def resultant_elim(A, B):
-    """Resultant of two chart polynomials eliminating y: a univariate
-    polynomial in x over the owner field. Transpose both to eliminate x.
+    """Resultant of the X0Y0 charts of two forms eliminating y: a
+    univariate polynomial in x over the owner field. Transpose both to
+    eliminate x. Each form is trimmed first, so zero last rows or columns
+    change nothing.
 
     Computed as the exact Sylvester determinant by evaluation at enough
     points of an extension field L of the owner field K and interpolation
@@ -640,11 +582,12 @@ def resultant_elim(A, B):
     if A.field is not B.field:
         raise FieldMismatch("polynomials over different fields")
     K = A.field
+    A, B = _trimmed(K, A.rows), _trimmed(K, B.rows)
     ca = A.y_coeffs()
     cb = B.y_coeffs()
-    na, nb = A.deg_y, B.deg_y
+    na, nb = A.b, B.b
     lca, lcb = ca[na], cb[nb]
-    bound = na * B.deg_x + nb * A.deg_x
+    bound = na * B.a + nb * A.a
     need = bound + 1
     k = 1
     while K.order**k < need + lca.degree + lcb.degree:

@@ -91,7 +91,7 @@ def decompose(F):
     # bi-degree (a-q, b) and V at (a, b-q)
     mx = UniPoly(K, [0, K.neg(1)] + [0] * (q - 2) + [1])  # t^q - t
     my = mx
-    cols = [UniPoly(K, col).divmod_poly(mx) for col in zip(*F.rows)]
+    cols = [col.divmod_poly(mx) for col in F.y_coeffs()]
     U = BiPoly(K, a - q, b, zip(*(_padded(-uq, a - q + 1) for uq, _ in cols)))
     vrows = [(0,) * (b - q + 1)] * (a + 1)
     for i, row in enumerate(zip(*(_padded(r, q) for _, r in cols))):

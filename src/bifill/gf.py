@@ -503,7 +503,12 @@ def parse_field_spec(text):
             if "=" not in part:
                 raise BadParameters(f"bad field spec fragment {part!r}")
             k, v = part.split("=", 1)
-            kv[k] = int(v)
+            try:
+                kv[k] = int(v)
+            except ValueError:
+                raise BadParameters(
+                    f"field spec value {part!r} is not an integer"
+                ) from None
     if "q" in kv:
         if mod is not None or set(kv) != {"q"}:
             raise BadParameters("q= form takes no other parameters")

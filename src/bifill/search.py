@@ -100,6 +100,8 @@ def _form(K, a, b, v, flat_basis):
 
 def candidate_poly(basis, k):
     """Candidate number k (projective order) of the span of basis."""
+    if not basis:
+        raise BadParameters("the empty basis spans no candidate")
     B0 = basis[0]
     K = B0.field
     total = projective_count(K.order, len(basis))
@@ -115,7 +117,7 @@ def candidate_index_of(F, basis):
     if not basis:
         return None
     F._check(basis[0])
-    if F.is_zero():
+    if F.is_zero() or F.bidegree != basis[0].bidegree:
         return None
     K = F.field
     q = K.order

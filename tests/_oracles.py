@@ -308,14 +308,14 @@ def resultant_every_node(A, B, var):
         return resultant_every_node(A.transpose(), B.transpose(), "y")
     K = A.field
     ca, cb = A.y_coeffs(), B.y_coeffs()
-    na, nb = A.deg_y, B.deg_y
+    na, nb = A.b, B.b
     if na == 0 or nb == 0:
         base, n = (ca[0], nb) if na == 0 else (cb[0], na)
         out = UniPoly(K, (1,))
         for _ in range(n):
             out = out * base
         return out
-    need = na * B.deg_x + nb * A.deg_x + 1
+    need = na * B.a + nb * A.a + 1
     k = 1
     while K.order**k < need + ca[na].degree + cb[nb].degree:
         k += 1
@@ -404,11 +404,12 @@ def certify_smooth_four_charts(F):
     if F.is_zero():
         raise ZeroPolynomial("the zero polynomial does not define a curve")
     K = F.field
+    system = jacobian_system(F)
     trace = []
     inconclusive = False
     for chart in CHARTS:
         for orientation in ("y", "x"):
-            members = _chart_members(F, chart, orientation)
+            members = _chart_members(system, chart, orientation)
             state, witness = _certify_chart(K, members, chart, orientation, trace)
             if state == "singular":
                 return SmoothCertificate("Singular", witness, tuple(trace))
@@ -573,12 +574,16 @@ def eval_bipoly(F, point):
 
 
 def homogenize(aff, a, b, chart="X0Y0"):
-    """Inverse of dehomogenize at a declared bi-degree (a,b)."""
-    if aff.deg_x > a or aff.deg_y > b:
+    """Inverse of dehomogenize at a declared bi-degree (a,b): the chart
+    polynomial's matrix padded with zeros to (a+1) x (b+1), then read back
+    through the chart map."""
+    if aff.a > a or aff.b > b:
         raise BidegreeMismatch(
-            f"chart degrees ({aff.deg_x},{aff.deg_y}) exceed target ({a},{b})"
+            f"chart degrees ({aff.a},{aff.b}) exceed target ({a},{b})"
         )
-    return BiPoly(aff.field, a, b, _chart_rows(aff.rows, a, b, chart))
+    rows = [list(r) + [0] * (b - aff.b) for r in aff.rows]
+    rows += [[0] * (b + 1) for _ in range(a - aff.a)]
+    return BiPoly(aff.field, a, b, _chart_rows(rows, chart))
 
 
 # -- exhaustive solving ----------------------------------------------------------

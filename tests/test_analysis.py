@@ -132,11 +132,27 @@ def test_resultants_are_taken_in_the_x0y0_chart_only(monkeypatch, q):
     assert [t["pair"] for t in cert.trace[-3:]] == ["line", "line", "corner"]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_certificate_builds_the_jacobian_system_once(monkeypatch, q):
+    calls = []
+    inner = analysis.jacobian_system
+    monkeypatch.setattr(analysis, "jacobian_system", lambda F: calls.append(1) or inner(F))
+    assert certify_smooth(construct(q)).verdict == "Smooth"
+    assert len(calls) == 1
+    F = construct(q) * parse_bipoly("X0*Y0", construct(q).field)
+    cert = certify_smooth(F)
+    assert cert.verdict == "Singular"
+    assert verify_witness(F, cert)
+    assert len(calls) == 3
+
+
 # -- the certificate against the four-chart walk ---------------------------------
 
 def _x0y0_degenerate(F):
+    system = jacobian_system(F)
     return all(
-        _certify_chart(F.field, _chart_members(F, "X0Y0", o), "X0Y0", o, [])[0] == "degenerate"
+        _certify_chart(F.field, _chart_members(system, "X0Y0", o), "X0Y0", o, [])[0]
+        == "degenerate"
         for o in ("y", "x")
     )
 

@@ -19,7 +19,6 @@ from _oracles import (
 from bifill import bipoly
 from bifill.bipoly import (
     CHARTS,
-    AffinePoly,
     BiPoly,
     divides,
     parse_bipoly,
@@ -27,7 +26,6 @@ from bifill.bipoly import (
 )
 from bifill.errors import (
     BadCoefficient,
-    BadShape,
     MixedBidegree,
     ParseError,
     ZeroDivisor,
@@ -58,17 +56,6 @@ def test_canonical_text_examples(gf2, gf3, gf4):
     assert parse_bipoly("X0^3*X1 + 2*X0*X1^3", gf3).text() == "X0^3*X1 + 2*X0*X1^3"
     F = parse_bipoly("[0,1]*X0*Y0 + [1,1]*X1*Y1", gf4)
     assert F.text() == "[0,1]*X0*Y0 + [1,1]*X1*Y1"
-    # chart polynomials print through the same term printer
-    P = parse_bipoly(
-        "X0*X1^2*Y0^2*Y1 + 2*X1^3*Y1^3 + X0^3*Y0^3 + 2*X0^2*X1*Y0*Y1^2", gf3
-    ).dehomogenize("X0Y0")
-    assert P.text() == "1 + 2*x*y^2 + x^2*y + 2*x^3*y^3"
-    Q = parse_bipoly(
-        "[0,1]*X0^2*Y0^2 + X0*X1*Y0*Y1 + [1,1]*X1^2*Y0*Y1 + [0,1]*X1^2*Y1^2 + X0^2*Y1^2",
-        gf4,
-    ).dehomogenize("X1Y0")
-    assert Q.text() == "[1,1]*y + [0,1]*y^2 + x*y + [0,1]*x^2 + x^2*y^2"
-    assert AffinePoly(gf4, [[0]]).text() == "0"
 
 
 def test_text_omits_units_and_one_exponents(gf3):
@@ -183,8 +170,21 @@ def test_dehomogenize_homogenize_round_trip(F, chart):
 def test_dehomogenize_reverses_killed_indices(gf3):
     F = parse_bipoly("X0^2*Y0 + 2*X0*X1*Y1", gf3)
     aff = F.dehomogenize("X1Y0")  # X1 = Y0 = 1, X0 direction reversed
-    assert aff.eval_at(0, 0) == F.eval(0, 1, 1, 0)
-    assert aff.eval_at(1, 1) == F.eval(1, 1, 1, 1)
+    # the chart polynomial at (x, y) is its form's value at (1:x; 1:y)
+    assert aff.eval(1, 0, 1, 0) == F.eval(0, 1, 1, 0)
+    assert aff.eval(1, 1, 1, 1) == F.eval(1, 1, 1, 1)
+
+
+def test_dehomogenize_trims_to_the_least_bidegree(gf3, gf4):
+    # a form with nonzero last row and column is its own X0Y0 chart
+    F = parse_bipoly(
+        "X0*X1^2*Y0^2*Y1 + 2*X1^3*Y1^3 + X0^3*Y0^3 + 2*X0^2*X1*Y0*Y1^2", gf3
+    )
+    assert F.dehomogenize("X0Y0") == F
+    # x = X0, y = Y1: 1 + 2*x*y^2 read in chart X1Y0 of a (3,3) form
+    G = parse_bipoly("X1^3*Y0^3 + 2*X0*X1^2*Y0*Y1^2", gf3)
+    assert G.dehomogenize("X1Y0") == parse_bipoly("X0*Y0^2 + 2*X1*Y1^2", gf3)
+    assert BiPoly.zero(gf4, 2, 3).dehomogenize("X1Y1") == BiPoly.zero(gf4, 0, 0)
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -293,6 +293,11 @@ def aff(text, K):
     return parse_bipoly(text, K).dehomogenize("X0Y0")
 
 
+def chart(K, rows):
+    """The chart polynomial whose matrix is rows, [i][j] on x^i y^j."""
+    return BiPoly(K, len(rows) - 1, len(rows[0]) - 1, rows).dehomogenize("X0Y0")
+
+
 def test_resultant_sign_oracles():
     K = field(7)
     # res_y(y^2 - x, y) = -x
@@ -318,12 +323,37 @@ def test_resultant_matches_literal_sylvester(data):
             [data.draw(st.integers(0, K.order - 1)) for _ in range(dy + 1)]
             for _ in range(dx + 1)
         ]
-        return AffinePoly(K, rows)
+        return chart(K, rows)
 
     A, B = rand_aff(), rand_aff()
-    if A.is_zero() or B.is_zero() or A.deg_y < 1 or B.deg_y < 1:
+    if A.is_zero() or B.is_zero() or A.b < 1 or B.b < 1:
         return
     assert resultant_elim(A, B) == sylvester_resultant(A, B, "y")
+
+
+@given(data=st.data())
+def test_resultant_trims_zero_rows_and_columns(data):
+    # a form padded with zero last rows and columns has the same X0Y0
+    # chart, so the same resultant, as the padding-free one
+    K = field(data.draw(st.sampled_from([2, 3, 4])))
+
+    def padded():
+        dx = data.draw(st.integers(0, 2))
+        dy = data.draw(st.integers(0, 2))
+        pa = data.draw(st.integers(0, 2))
+        pb = data.draw(st.integers(0, 2))
+        rows = [
+            [data.draw(st.integers(0, K.order - 1)) for _ in range(dy + 1)] + [0] * pb
+            for _ in range(dx + 1)
+        ]
+        rows += [[0] * (dy + pb + 1) for _ in range(pa)]
+        return BiPoly(K, dx + pa, dy + pb, rows)
+
+    A, B = padded(), padded()
+    assume(not A.is_zero() and not B.is_zero())
+    r = resultant_elim(A, B)
+    assert r == resultant_elim(A.dehomogenize("X0Y0"), B.dehomogenize("X0Y0"))
+    assert r == sylvester_resultant(A, B, "y")
 
 
 @given(data=st.data())
@@ -339,10 +369,10 @@ def test_resultant_multiplicative(data):
         return BiPoly(K, dx, dy, rows)
 
     F, G, H = rand_form(1), rand_form(1), rand_form(2)
-    chart = [P.dehomogenize("X0Y0") for P in (F, G, H)]
-    if any(P.is_zero() or P.deg_y < 1 for P in chart):
+    charts = [P.dehomogenize("X0Y0") for P in (F, G, H)]
+    if any(P.is_zero() or P.b < 1 for P in charts):
         return
-    f, g, h = chart
+    f, g, h = charts
     lhs = resultant_elim((F * G).dehomogenize("X0Y0"), h)
     rhs = resultant_elim(f, h) * resultant_elim(g, h)
     assert lhs == rhs
@@ -351,15 +381,15 @@ def test_resultant_multiplicative(data):
 def test_resultant_x_elimination_transposes(gf3):
     A = parse_bipoly("X0*X1*Y1 + X1^2*Y0", gf3).dehomogenize("X0Y0")
     B = parse_bipoly("X1^2*Y1 + X0^2*Y0", gf3).dehomogenize("X0Y0")
-    At = AffinePoly(A.field, tuple(zip(*A.rows)))
-    Bt = AffinePoly(B.field, tuple(zip(*B.rows)))
+    At = BiPoly(A.field, A.b, A.a, zip(*A.rows))
+    Bt = BiPoly(B.field, B.b, B.a, zip(*B.rows))
     assert (At, Bt) == (A.transpose(), B.transpose())
     assert resultant_elim(At, Bt) == sylvester_resultant(A, B, "x")
 
 
 def _orbit_fields():
     # GF(2), GF(4), GF(9) and a tower; the tower cannot be extended
-    # further, so its pairs keep deg_x <= 1 to fit the bound in GF(16)
+    # further, so its pairs keep x-degree <= 1 to fit the bound in GF(16)
     return [(field(2), 3), (field(4), 3), (field(9), 3),
             (extension_field(field(4), 2), 1)]
 
@@ -375,10 +405,10 @@ def test_resultant_orbits_match_every_node_and_sylvester(data):
             [data.draw(st.integers(0, K.order - 1)) for _ in range(dy + 1)]
             for _ in range(dx + 1)
         ]
-        return AffinePoly(K, rows)
+        return chart(K, rows)
 
     A, B = rand_aff(), rand_aff()
-    assume(not A.is_zero() and not B.is_zero() and A.deg_y >= 1 and B.deg_y >= 1)
+    assume(not A.is_zero() and not B.is_zero() and A.b >= 1 and B.b >= 1)
     r = resultant_elim(A, B)
     assert r == resultant_every_node(A, B, "y")
     assert r == sylvester_resultant(A, B, "y")
@@ -405,7 +435,7 @@ COMMON = ([[0, 1, 1], [1, 1, 0], [0, 1, 0], [1, 0, 0]],
 ])
 def test_resultant_orbit_edge_cases(q, A_rows, B_rows):
     K = field(q)
-    A, B = AffinePoly(K, A_rows), AffinePoly(K, B_rows)
+    A, B = chart(K, A_rows), chart(K, B_rows)
     for var, (P, Q) in (("y", (A, B)), ("x", (A.transpose(), B.transpose()))):
         r = resultant_elim(P, Q)
         assert r == resultant_every_node(A, B, var)
@@ -475,17 +505,17 @@ def test_interpolation_kernel_calls_no_field_arithmetic(q, m):
 
 
 def test_resultant_of_common_factor_is_zero(gf2):
-    A, B = (AffinePoly(gf2, rows) for rows in COMMON)
+    A, B = (chart(gf2, rows) for rows in COMMON)
     assert resultant_elim(A, B).is_zero()
     assert resultant_elim(A.transpose(), B.transpose()).is_zero()
 
 
 def test_resultant_takes_one_uni_resultant_per_orbit(gf2, monkeypatch):
-    # deg_y 3 and deg_x 3 on both sides: need = 19 nodes, so L = GF(32),
+    # degree 3 in x and in y on both sides: need = 19 nodes, so L = GF(32),
     # whose Frobenius orbits are {0}, {1} and six of size 5
-    A = AffinePoly(gf2, [[1, 0, 1, 1], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]])
-    B = AffinePoly(gf2, [[0, 1, 1, 1], [1, 0, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1]])
-    need = A.deg_y * B.deg_x + B.deg_y * A.deg_x + 1
+    A = chart(gf2, [[1, 0, 1, 1], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]])
+    B = chart(gf2, [[0, 1, 1, 1], [1, 0, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1]])
+    need = A.b * B.a + B.b * A.a + 1
     assert need == 19
     calls = []
     inner = bipoly._uni_resultant
@@ -502,15 +532,14 @@ def test_resultant_takes_one_uni_resultant_per_orbit(gf2, monkeypatch):
     assert r == sylvester_resultant(A, B, "y")
 
 
-# -- affine helpers -------------------------------------------------------------------
+# -- chart columns --------------------------------------------------------------------
 
-def test_as_unipoly_requires_flat_shape(gf3):
+def test_y_coeffs_reads_the_chart_by_columns(gf3):
     P = parse_bipoly("X0*X1 + X1^2", gf3).dehomogenize("X0Y0")
-    u = P.as_unipoly()
-    assert list(u.coeffs) == [0, 1, 1]
+    assert P.bidegree == (2, 0)
+    assert [list(u.coeffs) for u in P.y_coeffs()] == [[0, 1, 1]]
     Q = parse_bipoly("X0*Y0*Y1 + 2*X0*Y1^2", gf3).dehomogenize("X0Y0")
-    assert list(Q.transpose().as_unipoly().coeffs) == [0, 1, 2]
-    with pytest.raises(BadShape, match="still involves y"):
-        P.transpose().as_unipoly()
-    with pytest.raises(BadShape, match="still involves y"):
-        Q.as_unipoly()
+    assert Q.bidegree == (0, 2)
+    assert [list(u.coeffs) for u in Q.transpose().y_coeffs()] == [[0, 1, 2]]
+    assert [list(u.coeffs) for u in Q.y_coeffs()] == [[], [1], [2]]
+    assert [list(u.coeffs) for u in P.transpose().y_coeffs()] == [[], [1], [1]]

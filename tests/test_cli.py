@@ -193,6 +193,15 @@ def test_field_info_by_spec(capsys):
     assert doc1["field"] == doc2["field"]
 
 
+@pytest.mark.parametrize("spec", ["q=abc", "p=3,e=x", "p=3,e=2,mod=[1,0"])
+def test_field_spec_with_a_non_integer_is_a_usage_error(capsys, spec):
+    code, out, err = run(capsys, "field-info", "--field", spec, "--json")
+    assert code == 2
+    assert out == ""
+    assert "is not an integer" in err
+    assert "Traceback" not in err
+
+
 # -- byte identity ---------------------------------------------------------------
 
 # SHA-256 of each command's --json stdout. The output is a fixed point: any

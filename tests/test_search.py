@@ -12,7 +12,7 @@ from _oracles import (
 )
 from bifill import analysis, search
 from bifill.analysis import _proj_forms, certify_smooth
-from bifill.bipoly import BiPoly
+from bifill.bipoly import BiPoly, parse_bipoly
 from bifill.errors import BadParameters, FieldMismatch, Infeasible
 from bifill.families import construct
 from bifill.filling import is_filling
@@ -149,6 +149,17 @@ def test_candidate_index_rejects_out_of_range():
         candidate_poly(basis, 127)
     with pytest.raises(BadParameters):
         candidate_poly(basis, -1)
+    with pytest.raises(BadParameters):
+        candidate_poly([], 0)
+
+
+def test_candidate_index_of_another_bidegree_is_none(gf2):
+    basis = filling_space_basis(2, 4, 3)
+    assert candidate_index_of(parse_bipoly("X0*Y0", gf2), basis) is None
+    # (3,4) has as many coefficients as (4,3): the flat vectors must not meet
+    F = candidate_poly(basis, 5)
+    assert candidate_index_of(F.transpose(), basis) is None
+    assert candidate_index_of(BiPoly.monomial(gf2, 5, 3, 0, 0), basis) is None
 
 
 # -- censuses --------------------------------------------------------------------
