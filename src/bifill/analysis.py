@@ -11,14 +11,23 @@ points are pinned down by a gcd accumulated over the members that only
 involve x and over pairwise resultants of the rest: a common zero roots
 every one of those, so the accumulated gcd is a complete filter, and it
 usually collapses to a constant after one or two resultants, which
-certifies the chart without any factoring. Surviving irreducible factors
-m(x) are checked exactly: substitute a root of m over GF(q^deg m) into
-every member and take the monic gcd in y; positive degree certifies a
-singular point, and the chart with the (m, gcd) pair is the witness. The
-chart misses the lines Y0 = 0 and X0 = 0, where the members restrict to
-univariate polynomials: a gcd decides each line, and the corner
-X0 = Y0 = 0 is one evaluation. Their witnesses are written in the chart
-that holds the point (X0Y1, X1Y0 or X1Y1), in the same (m, gcd) form.
+certifies the chart without any factoring. When those resultants would be
+large (the chart's largest Sylvester degree bound reaches _PREM_GATE), a
+pass of pseudo-remainders in y runs first: prem(A, B) = lc(B)^k*A - Q*B
+lies in the ideal of A and B, so an x-only prem is as complete a filter as
+a resultant, and on forms sparse in y, such as construct(q)'s
+alpha + beta*y + gamma*y^q + delta*y^(q+1), a few dozen of them reach gcd 1
+with no extension field and no interpolation. The pass only ever
+certifies the chart smooth; otherwise the resultant walk runs unchanged,
+so every witness and Inconclusive verdict comes from it. Irreducible
+factors m(x) that survive the walk's gcd are checked exactly: substitute
+a root of m over GF(q^deg m) into every member and take the monic gcd in
+y; positive degree certifies a singular point, and the chart with the
+(m, gcd) pair is the witness. The chart misses the lines Y0 = 0 and
+X0 = 0, where the members restrict to univariate polynomials: a gcd
+decides each line, and the corner X0 = Y0 = 0 is one evaluation. Their
+witnesses are written in the chart that holds the point (X0Y1, X1Y0 or
+X1Y1), in the same (m, gcd) form.
 
 Absolute irreducibility runs two routes. Route A: a smooth form with both
 bi-degree entries positive is irreducible over the closure, because on this
@@ -230,6 +239,88 @@ def _certify_chart(K, members, chart, orientation, trace):
     return "smooth", None
 
 
+# certify_smooth offers the X0Y0 chart to the pseudo-remainder pass only when
+# _sylvester_bound reaches this. A form of bi-degree (a, b) has a bound of
+# at most 2ab - min(a, b): 36 on (4,5), the largest census cell, whose
+# resultants are cheap and whose irreducibles the pass seldom decides, at
+# several times their cost; 45 on construct(4) and 66 on construct(5), from
+# where on the pass beats the resultants by more at each q.
+_PREM_GATE = 40
+
+
+def _sylvester_bound(members):
+    """Largest degree bound A.b*B.a + B.b*A.a of a resultant in y over the
+    pairs of chart members, read from their degrees alone."""
+    return max(
+        (A.b * B.a + B.b * A.a for A, B in itertools.combinations(members, 2)),
+        default=0,
+    )
+
+
+def _prem(A, B):
+    """Pseudo-remainder of A by B in y, both lists of x-polynomials whose
+    entry j multiplies y^j, the last one nonzero: lc(B)^k*A - Q*B for the k
+    steps taken, of y-degree below B's, trimmed. A step cancels the leading
+    term: R <- lc(B)*R - lc(R)*y^(deg R - deg B)*B."""
+    R = list(A)
+    db = len(B) - 1
+    lc = B[db]
+    while len(R) > db:
+        c = R.pop()
+        shift = len(R) - db
+        R = [lc * r for r in R]
+        for j in range(db):
+            if not B[j].is_zero():
+                R[shift + j] = R[shift + j] - c * B[j]
+        while R and R[-1].is_zero():
+            R.pop()
+    return R
+
+
+def _prem_pass(members):
+    """Number of pseudo-remainders after which the gcd D of the x-only ones
+    and of the x-only members is 1, or None.
+
+    Each prem lies in the ideal of the members, so an x-only one vanishes
+    at the x-coordinate of every common zero in the chart, as a resultant
+    does, and D = 1 leaves none. Round one takes prem(A, B) for each
+    ordered pair of members with deg_y A >= deg_y B >= 1; round two takes
+    each remainder of round one that still involves y against each member,
+    the higher y-degree divided by the lower. Returns None at once below
+    _PREM_GATE, and when the x-only members alone have gcd 1."""
+    if _sylvester_bound(members) < _PREM_GATE:
+        return None
+    D = None
+    cols = []
+    for mem in members:
+        if mem.b == 0:
+            u = mem.y_coeffs()[0]
+            D = u.monic() if D is None else unipoly_gcd(D, u)
+        else:
+            cols.append(mem.y_coeffs())
+    if D is not None and D.degree == 0:
+        return None
+
+    def prems():
+        rest = []
+        for A, B in itertools.permutations(cols, 2):
+            if len(A) >= len(B):
+                R = _prem(A, B)
+                yield R
+                if len(R) > 1:
+                    rest.append(R)
+        for R in rest:
+            for M in cols:
+                yield _prem(M, R) if len(M) >= len(R) else _prem(R, M)
+
+    for n, R in enumerate(prems(), 1):
+        if len(R) == 1:
+            D = R[0].monic() if D is None else unipoly_gcd(D, R[0])
+            if D.degree == 0:
+                return n
+    return None
+
+
 def _line_witness(system, K, trace):
     """First singular point off the X0Y0 chart, as a Witness, or None.
 
@@ -285,9 +376,15 @@ def certify_smooth(F):
     algebraic closure. Singular comes with an independently checkable
     witness. The X0Y0 chart is decided by resultants and gcds; the two
     lines X0 = 0 and Y0 = 0 and their corner, which that chart misses, by
-    univariate gcds alone. Inconclusive is reserved for a form whose X0Y0
-    chart defeats both elimination orientations (all pairwise resultants
-    identically zero) and which has no singular point on the two lines.
+    univariate gcds alone. Above _PREM_GATE the chart is first offered to
+    _prem_pass, which can only certify it smooth: its x-only
+    pseudo-remainders lie in the ideal of the members, so their gcd 1
+    leaves no common zero in the chart. It records one trace entry
+    ("pair": "prem", the degree 0 of that gcd, the number of prems);
+    otherwise the resultant walk runs as below the gate. Inconclusive is
+    reserved for a form whose X0Y0 chart defeats both elimination
+    orientations (all pairwise resultants identically zero) and which has
+    no singular point on the two lines.
     """
     if F.is_zero():
         raise ZeroPolynomial("the zero polynomial does not define a curve")
@@ -296,6 +393,12 @@ def certify_smooth(F):
     trace = []
     for orientation in ("y", "x"):
         members = _chart_members(system, "X0Y0", orientation)
+        prems = _prem_pass(members) if orientation == "y" else None
+        if prems is not None:
+            trace.append({"chart": "X0Y0", "orientation": "y", "pair": "prem",
+                          "degree": 0, "prems": prems})
+            state = "smooth"
+            break
         state, witness = _certify_chart(K, members, "X0Y0", orientation, trace)
         if state == "singular":
             return SmoothCertificate("Singular", witness, tuple(trace))

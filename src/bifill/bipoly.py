@@ -259,9 +259,7 @@ def binary_eval(F, coeffs, y0, y1):
     if y0 == 0:
         return coeffs[n] if y1 == 1 else F.mul(coeffs[n], F.pow_(y1, n))
     t = y1 if y0 == 1 else F.div(y1, y0)
-    acc = 0
-    for c in reversed(coeffs):
-        acc = F.add(F.mul(acc, t), c)
+    acc = UniPoly._raw(F, coeffs).eval_at(t)
     return acc if y0 == 1 else F.mul(acc, F.pow_(y0, n))
 
 

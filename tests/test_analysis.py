@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import json
+import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -40,7 +42,7 @@ from bifill.families import _ruling_pair, construct, pair_curve
 from bifill.filling import frobenius_forms, is_filling
 from bifill.geom import projective_count
 from bifill.gf import parse_field_spec
-from bifill.search import candidate_poly, filling_space_basis
+from bifill.search import candidate_poly, census, filling_space_basis
 
 
 def field(q):
@@ -86,7 +88,7 @@ def test_singular_locus_of_fiber_product_is_the_rational_grid(gf2):
     }
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 17, 19, 25])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 17, 19, 23, 25, 27, 29, 31, 32])
 def test_constructed_curves_are_certified_smooth(q):
     assert certify_smooth(construct(q)).verdict == "Smooth"
 
@@ -96,10 +98,10 @@ def test_constructed_curves_are_certified_smooth(q):
 # resultant's degree
 CONSTRUCT_CERTIFICATES_SHA256 = "9dd58c33a5f5de779791f568864f73b3000904859fbac30dd59836ad5a6b758f"
 
-# The same for certify_smooth: the X0Y0 chart's pairs, then one entry for
-# each line and the corner
+# The same for certify_smooth: the X0Y0 chart's pairs, or from q = 4 on its
+# one pseudo-remainder entry, then one entry for each line and the corner
 CONSTRUCT_LINE_CERTIFICATES_SHA256 = (
-    "b3a07a4435cda0eb75963e1cd6db129d1d9ba45009965c90a0a844aeb91d00ac"
+    "05da8394a3bcb3455fd2215a8b9d9465cf49bfc8da11f3c4053052f1e3d0eff7"
 )
 
 PINNED_CONSTRUCT_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -120,16 +122,30 @@ def test_construct_line_certificate_traces_are_pinned():
     assert _certificates_digest(certify_smooth) == CONSTRUCT_LINE_CERTIFICATES_SHA256
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 16])
 def test_resultants_are_taken_in_the_x0y0_chart_only(monkeypatch, q):
+    # construct(2) and construct(3) fall below the prem gate; from q = 4 on,
+    # pseudo-remainders decide the chart and no resultant is taken
     calls = []
     inner = analysis.resultant_elim
     monkeypatch.setattr(analysis, "resultant_elim", lambda A, B: calls.append(1) or inner(A, B))
     cert = certify_smooth(construct(q))
     pairs = [t for t in cert.trace if isinstance(t["pair"], list)]
-    assert len(calls) == len(pairs) == (8 if q == 2 else 3)
-    assert {t["chart"] for t in pairs} == {"X0Y0"}
+    prems = [t for t in cert.trace if t["pair"] == "prem"]
+    assert len(calls) == len(pairs) == {2: 8, 3: 3}.get(q, 0)
+    assert len(prems) == (q >= 4)
+    assert {t["chart"] for t in pairs + prems} == {"X0Y0"}
+    assert all(t["degree"] == 0 and t["prems"] == 40 for t in prems)
     assert [t["pair"] for t in cert.trace[-3:]] == ["line", "line", "corner"]
+
+
+def test_census_certificates_take_no_pseudo_remainder(monkeypatch):
+    passes, prems = [], []
+    inner_pass, inner_prem = analysis._prem_pass, analysis._prem
+    monkeypatch.setattr(analysis, "_prem_pass", lambda m: passes.append(1) or inner_pass(m))
+    monkeypatch.setattr(analysis, "_prem", lambda A, B: prems.append(1) or inner_prem(A, B))
+    assert census(2, 4, 3, smooth=True).n_irreducible == 66
+    assert passes and not prems
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -211,6 +227,68 @@ def shaped_forms(draw):
 @given(F=shaped_forms())
 def test_certificate_matches_the_four_chart_walk_on_random_forms(F):
     _check_against_four_charts(F)
+
+
+# -- the pseudo-remainder pass against the walk it stands before ------------------
+
+def _above_the_prem_gate(F):
+    members = _chart_members(jacobian_system(F), "X0Y0", "y")
+    return analysis._sylvester_bound(members) >= analysis._PREM_GATE
+
+
+def _without_trace(cert):
+    doc = cert.to_json()
+    del doc["trace"]
+    return doc
+
+
+def _walk_only(F):
+    with mock.patch.object(analysis, "_PREM_GATE", math.inf):
+        return certify_smooth(F)
+
+
+@st.composite
+def forms_above_the_prem_gate(draw):
+    # chart forms alpha + beta*y + gamma*y^k + delta*y^(k+1), sparse in y as
+    # construct(q)'s are, and dense forms
+    K = field(draw(st.sampled_from((2, 3, 4, 5))))
+
+    def column(a):
+        return draw(st.lists(st.integers(0, K.order - 1), min_size=a + 1, max_size=a + 1))
+
+    if draw(st.booleans()):
+        a, k = draw(st.integers(4, 6)), draw(st.integers(3, 5))
+        cols = {j: column(a) for j in (0, 1, k, k + 1)}
+        rows = [[cols[j][i] if j in cols else 0 for j in range(k + 2)] for i in range(a + 1)]
+        F = BiPoly(K, a, k + 1, rows)
+    else:
+        a, b = draw(st.sampled_from(((5, 5), (5, 4), (4, 5), (6, 4))))
+        F = BiPoly(K, a, b, [column(b) for _ in range(a + 1)])
+    assume(not F.is_zero() and _above_the_prem_gate(F))
+    return F
+
+
+@given(F=forms_above_the_prem_gate())
+def test_prem_pass_changes_no_verdict_or_witness(F):
+    cert = certify_smooth(F)
+    assert _without_trace(cert) == _without_trace(_walk_only(F))
+    if cert.verdict == "Singular":
+        assert verify_witness(F, cert)
+
+
+# construct(q) times a ruling line pair, singular where the lines X0 = 0 and
+# Y0 = 0 meet it, or times the line x + y = 0 of the chart: the pass falls
+# through and the walk finds the witness it finds without the pass
+@pytest.mark.parametrize("q", [4, 5])
+@pytest.mark.parametrize("factor", ["X0*Y0", "X0*Y1 + X1*Y0"])
+def test_singular_forms_above_the_prem_gate_keep_their_witness(q, factor):
+    F = construct(q) * parse_bipoly(factor, construct(q).field)
+    assert _above_the_prem_gate(F)
+    cert = certify_smooth(F)
+    assert cert.verdict == "Singular"
+    assert cert.witness == _walk_only(F).witness
+    assert verify_witness(F, cert)
+    assert all(t["pair"] != "prem" for t in cert.trace)
 
 
 # The four-chart walk left these Inconclusive; each has its singular points
