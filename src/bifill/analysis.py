@@ -471,6 +471,7 @@ class IrreducibilityResult:
 
 _FORM_CACHE = {}
 _NORM_CACHE = {}
+_CELL_CACHE = {}
 
 
 def _proj_forms(field, a, b):
@@ -532,15 +533,21 @@ FACTOR_SEARCH_BUDGET = 1 << 22
 def _divisor_cells(F):
     """The bi-degrees (a2,b2) of F's proper divisors up to total degree
     (a+b)//2, in scan order: ascending total degree, then lexicographic.
-    Raises Infeasible, before any divisor is tried, when their candidates
-    exceed FACTOR_SEARCH_BUDGET."""
+    The cells and their candidate count are built once per (q, a, b) and
+    cached; every call still compares the count with FACTOR_SEARCH_BUDGET
+    and raises Infeasible, before any divisor is tried, when it exceeds
+    the budget."""
     a, b = F.a, F.b
-    cells = sorted(
-        ((a2, b2) for a2 in range(a + 1) for b2 in range(b + 1) if 0 < a2 + b2 <= (a + b) // 2),
-        key=lambda cell: (cell[0] + cell[1], cell),
-    )
     q = F.field.order
-    total = sum(projective_count(q, (a2 + 1) * (b2 + 1)) for a2, b2 in cells)
+    key = (q, a, b)
+    if key not in _CELL_CACHE:
+        cells = tuple(sorted(
+            ((a2, b2) for a2 in range(a + 1) for b2 in range(b + 1) if 0 < a2 + b2 <= (a + b) // 2),
+            key=lambda cell: (cell[0] + cell[1], cell),
+        ))
+        total = sum(projective_count(q, (a2 + 1) * (b2 + 1)) for a2, b2 in cells)
+        _CELL_CACHE[key] = (cells, total)
+    cells, total = _CELL_CACHE[key]
     if total > FACTOR_SEARCH_BUDGET:
         raise Infeasible(
             f"{total} division candidates exceed the budget {FACTOR_SEARCH_BUDGET}"

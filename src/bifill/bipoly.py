@@ -468,32 +468,57 @@ def divides(G, F):
     off F[i+ig][j+jg], less every other term of G times the H entry it
     meets there; that entry is later than (i, j) in row-major order, so
     solving H from its last entry back reads only entries already solved.
-    The solve reads only the F entries of that shifted window, so H is
-    returned only when G*H reproduces all of F (mul by a nonzero form is
-    injective, so H is unique when it exists)."""
-    if G.is_zero():
+    The solve reads only the F entries of the window
+    F[ig..ig+ah][jg..jg+bh], and G*H equals F on every one of them by
+    construction, so only the entries outside the window are checked, and
+    no product is formed. F's rows past ig+ah must be zero, since G has no
+    term past row ig. Every other outside entry (r, s) must be the sum of
+    c*H[r-u][s-v] over G's terms c at (u, v); row r reads H rows r-ig and
+    up, so its outside columns are checked as soon as H row r-ig is solved.
+    The first mismatch returns None. Mul by a nonzero form is injective,
+    so H is unique when it exists."""
+    terms = [(u, v, c) for u, row in enumerate(G.rows) for v, c in enumerate(row) if c]
+    if not terms:
         raise ZeroDivisor("zero divisor")
     G._check(F)
     ah, bh = F.a - G.a, F.b - G.b
     if ah < 0 or bh < 0:
         return None
+    ig, jg, lead = terms[-1]
+    if any(map(any, F.rows[ig + ah + 1:])):
+        return None
     K = F.field
-    terms = [(u, v, c) for u, row in enumerate(G.rows) for v, c in enumerate(row) if c]
-    ig, jg, lead = terms.pop()
     inv = K.inv(lead)
+    others = terms[:-1]
     H = [[0] * (bh + 1) for _ in range(ah + 1)]
+
+    def agrees(r, cols):
+        # whether (G*H)[r][s] == F[r][s] for every s in cols
+        row = F.rows[r]
+        for s in cols:
+            acc = 0
+            for u, v, c in terms:
+                i, j = r - u, s - v
+                if 0 <= i <= ah and 0 <= j <= bh and H[i][j]:
+                    acc = K.add(acc, K.mul(c, H[i][j]))
+            if acc != row[s]:
+                return False
+        return True
+
+    beside = [*range(jg), *range(jg + bh + 1, F.b + 1)]
     for i in range(ah, -1, -1):
         for j in range(bh, -1, -1):
             acc = F.rows[i + ig][j + jg]
-            for u, v, c in terms:
+            for u, v, c in others:
                 ii, jj = i + ig - u, j + jg - v
                 if ii <= ah and 0 <= jj <= bh and H[ii][jj]:
                     acc = K.sub(acc, K.mul(c, H[ii][jj]))
             H[i][j] = K.mul(acc, inv)
-    H = BiPoly._raw(K, ah, bh, tuple(map(tuple, H)))
-    if G * H == F:
-        return H
-    return None
+        if not agrees(i + ig, beside):
+            return None
+    if not all(agrees(r, range(F.b + 1)) for r in range(ig)):
+        return None
+    return BiPoly._raw(K, ah, bh, tuple(map(tuple, H)))
 
 
 def row_reduce(K, mat):

@@ -529,6 +529,15 @@ def test_find_factor_is_the_first_divisor_in_scan_order(F):
     assert staged == G
 
 
+def test_divisor_cells_are_cached_but_the_budget_is_read_each_call(monkeypatch):
+    F = construct(2)
+    cells = _divisor_cells(F)
+    assert _divisor_cells(F) is cells
+    monkeypatch.setattr(analysis, "FACTOR_SEARCH_BUDGET", 1)
+    with pytest.raises(Infeasible, match="exceed the budget 1$"):
+        _divisor_cells(F)
+
+
 def _decision(decide, F):
     try:
         res = decide(F)

@@ -233,6 +233,22 @@ def test_divides_on_actual_products(G, H):
     assert G * got == F
 
 
+def _blank(rows, blank):
+    """Zero the last row, the last column or the corner of a coefficient
+    matrix, in place, or nothing for "none"."""
+    if blank == "corner":
+        rows[-1][-1] = 0
+    elif blank == "last row":
+        rows[-1] = [0] * len(rows[-1])
+    elif blank == "last column":
+        for r in rows:
+            r[-1] = 0
+    return rows
+
+
+BLANKS = ("none", "corner", "last row", "last column")
+
+
 @st.composite
 def division_cases(draw):
     """(G, dividends): a nonzero G and, for it, a product G*H, a random
@@ -249,15 +265,7 @@ def division_cases(draw):
     G = form(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
     # a zero corner, last row or last column puts the pivot inside G's
     # matrix; a zero corner leaves terms right of the pivot column
-    blank = draw(st.sampled_from(("none", "corner", "last row", "last column")))
-    rows = [list(r) for r in G.rows]
-    if blank == "corner":
-        rows[-1][-1] = 0
-    elif blank == "last row":
-        rows[-1] = [0] * (G.b + 1)
-    elif blank == "last column":
-        for r in rows:
-            r[-1] = 0
+    rows = _blank([list(r) for r in G.rows], draw(st.sampled_from(BLANKS)))
     G = BiPoly(K, G.a, G.b, rows)
     assume(not G.is_zero())
     ah, bh = draw(st.integers(0, 2)), draw(st.integers(0, 2))
@@ -285,6 +293,55 @@ def test_divides_negative_and_zero_cases(gf2):
     assert divides(parse_bipoly("X0^2 + X0*X1 + X1^2", gf2), kx) is None
     with pytest.raises(ZeroDivisor):
         divides(BiPoly.zero(gf2, 1, 1), kx)
+
+
+def _random_form(rng, K, a, b, blank="none"):
+    while True:
+        rows = [[rng.randrange(K.order) for _ in range(b + 1)] for _ in range(a + 1)]
+        if any(map(any, _blank(rows, blank))):
+            return BiPoly(K, a, b, rows)
+
+
+@pytest.mark.parametrize("blank", BLANKS)
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_divides_rejects_every_near_miss_outside_the_window(q, blank):
+    # the solve reads only the window F[ig..ig+ah][jg..jg+bh]; a change to
+    # any other entry of a product must be caught by the check outside it
+    K = field(q)
+    rng = random.Random(1000 * q + len(blank))
+    G = _random_form(rng, K, 2, 2, blank)
+    H = _random_form(rng, K, 1, 2)
+    F = G * H
+    ig, jg = max((u, v) for u, row in enumerate(G.rows) for v, c in enumerate(row) if c)
+    assert divides(G, F) == H
+    outside = 0
+    for r in range(F.a + 1):
+        for s in range(F.b + 1):
+            if ig <= r <= ig + H.a and jg <= s <= jg + H.b:
+                continue
+            outside += 1
+            for c in range(1, q):
+                near = F + BiPoly.monomial(K, F.a, F.b, r, s, c)
+                assert divides(G, near) is None
+                assert linear_divides(G, near) is None
+    assert outside == (F.a + 1) * (F.b + 1) - (H.a + 1) * (H.b + 1)
+
+
+def test_divides_forms_no_product(gf3, monkeypatch):
+    G = parse_bipoly("X0*Y0 + 2*X1*Y1 + X0*Y1", gf3)
+    H = parse_bipoly("X0^2*Y1 + X1^2*Y0 + 2*X0*X1*Y1", gf3)
+    F = G * H
+    miss = F + BiPoly.monomial(gf3, F.a, F.b, 0, 0, 1)
+
+    def no_product(*args):
+        raise AssertionError("divides formed a product")
+
+    monkeypatch.setattr(bipoly, "_convolve", no_product)
+    got = divides(G, F)
+    assert got is not None
+    assert divides(G, miss) is None
+    monkeypatch.undo()
+    assert G * got == F
 
 
 # -- resultants ---------------------------------------------------------------------
